@@ -2,19 +2,7 @@
 
 #include <utility>
 
-#include "plan/exec.hpp"
-
 namespace gkx::eval {
-
-namespace {
-
-Engine::Choice Dispatch(const xpath::FragmentReport& fragment) {
-  if (fragment.in_pf) return Engine::Choice::kPfFrontier;
-  if (fragment.in_core) return Engine::Choice::kCoreLinear;
-  return Engine::Choice::kCvt;
-}
-
-}  // namespace
 
 Result<Engine::Plan> Engine::Compile(std::string_view query_text) {
   auto query = xpath::ParseQuery(query_text);
@@ -26,29 +14,9 @@ Engine::Plan Engine::CompileParsed(xpath::Query query) {
   return plan::Compile(std::move(query));
 }
 
-Result<Engine::Answer> Engine::RunDispatched(
-    const xml::Document& doc, const xpath::Query& query,
-    const xpath::FragmentReport& fragment, Choice choice, const Context& ctx) {
-  Answer answer;
-  answer.fragment = fragment;
-  Evaluator& engine = choice == Choice::kPfFrontier
-                          ? static_cast<Evaluator&>(pf_)
-                          : choice == Choice::kCoreLinear
-                                ? static_cast<Evaluator&>(linear_)
-                                : static_cast<Evaluator&>(cvt_);
-  answer.evaluator = std::string(engine.name());
-  auto value = engine.Evaluate(doc, query, ctx);
-  if (!value.ok()) return value.status();
-  answer.value = std::move(value).value();
-  return answer;
-}
-
 Result<Engine::Answer> Engine::RunPlan(const xml::Document& doc,
                                        const Plan& plan, const Context& ctx,
                                        plan::ExecTrace* trace) {
-  if (!plan.staged) {
-    return RunDispatched(doc, plan.query, plan.fragment, plan.choice, ctx);
-  }
   // Lend this engine's evaluators to the run: an Engine lives across
   // requests, so its binds (test-set bitsets, context-value tables) stay
   // warm for repeat executions of the same plan on the same document —
@@ -71,14 +39,6 @@ Result<Engine::Answer> Engine::Run(const xml::Document& doc,
   auto plan = Compile(query_text);
   if (!plan.ok()) return plan.status();
   return RunPlan(doc, *plan, RootContext(doc));
-}
-
-Result<Engine::Answer> Engine::Run(const xml::Document& doc,
-                                   const xpath::Query& query,
-                                   const Context& ctx) {
-  xpath::FragmentReport fragment = xpath::Classify(query);
-  Choice choice = Dispatch(fragment);
-  return RunDispatched(doc, query, fragment, choice, ctx);
 }
 
 }  // namespace gkx::eval

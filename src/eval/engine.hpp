@@ -1,13 +1,16 @@
-// The user-facing facade over the staged compile pipeline (src/plan):
+// The user-facing facade over the compile pipeline (src/plan):
 //   normalize (canonical rewrites) → classify per subexpression (Figure 1,
 //   per step) → lower (fused same-engine segments) → execute.
-// Uniform plans dispatch whole-query to the cheapest sound engine —
-//   PF (paths only, NL)                   -> pf-frontier bitset sweeps
-//   Core XPath (incl. positive Core)      -> core-linear, O(|D|·|Q|)
-//   anything else                         -> context-value tables, polynomial
-// — and genuinely mixed plans run hybrid: the path spine stays on the
-// bitset fast path, only non-Core predicate subtrees drop into CVT
-// (Answer.evaluator then reports the route list, e.g. "pf-frontier+cvt").
+// Every plan runs through the segment executor (plan/exec.hpp), which gives
+// each segment the cheapest sound engine —
+//   predicate-free steps (PF, NL)         -> pf-frontier bitset sweeps
+//   Core predicates (incl. positive Core) -> core-linear, O(|D|·|Q|)
+//   anything else                         -> cvt, context-value tables
+// — so a mixed plan keeps its path spine on the bitset fast path and drops
+// into CVT only for the offending predicate subtree. Answer.evaluator
+// reports the plan's route list: one route for a uniform plan
+// ("pf-frontier", "core-linear", "cvt"), '+'-joined for a hybrid one
+// ("pf-frontier+cvt").
 
 #ifndef GKX_EVAL_ENGINE_HPP_
 #define GKX_EVAL_ENGINE_HPP_
@@ -18,7 +21,6 @@
 #include "eval/core_linear_evaluator.hpp"
 #include "eval/cvt_evaluator.hpp"
 #include "eval/evaluator.hpp"
-#include "eval/pf_evaluator.hpp"
 #include "eval/recursive_base.hpp"
 #include "plan/exec.hpp"
 #include "plan/physical.hpp"
@@ -35,18 +37,8 @@ class Engine {
     std::string evaluator;  // route list that produced the value
   };
 
-  /// Which engine a plan (or plan segment) dispatches to. Legacy name for
-  /// plan::Route — kPfFrontier / kCoreLinear / kCvt.
-  using Choice = plan::Route;
-
-  /// Name of the evaluator a whole-query Choice dispatches to.
-  static std::string_view EvaluatorName(Choice choice) {
-    return plan::RouteEvaluatorName(choice);
-  }
-
-  /// A compiled query — the staged physical plan (thin alias during the
-  /// plan-IR migration; see plan/physical.hpp). Plans are immutable after
-  /// Compile and safe to share across threads.
+  /// A compiled query — the physical plan (see plan/physical.hpp). Plans
+  /// are immutable after Compile and safe to share across threads.
   using Plan = plan::Physical;
 
   /// Parses, normalizes, classifies per subexpression, and lowers a query
@@ -68,44 +60,23 @@ class Engine {
     return RunPlan(doc, plan, ctx, nullptr);
   }
 
-  /// Same, with per-segment timing capture: when `trace` is non-null and
-  /// the plan is staged, one SegmentTiming per plan segment is appended
-  /// (see plan/exec.hpp). Uniform plans ignore the trace — the whole
-  /// request-latency span already covers their single dispatch.
+  /// Same, with per-segment timing capture: when `trace` is non-null, one
+  /// SegmentTiming per plan segment is appended (see plan/exec.hpp).
   Result<Answer> RunPlan(const xml::Document& doc, const Plan& plan,
                          const Context& ctx, plan::ExecTrace* trace);
 
   /// Parses, compiles, and runs a query from the root context.
   Result<Answer> Run(const xml::Document& doc, std::string_view query_text);
 
-  /// Intra-query parallelism: staged plans partition their segments per
-  /// `opts` (see plan/exec.hpp) and uniform bitset dispatches partition
-  /// their sweeps; `stats`, when non-null, receives per-segment
-  /// parallel/sequential/skipped counts from every staged run (the service
-  /// wires its shared counters here). Answers are byte-identical to
-  /// sequential execution at any setting.
-  void set_exec_options(const plan::ExecOptions& opts) {
-    exec_opts_ = opts;
-    const SweepOptions sweep{opts.pool, opts.workers, opts.min_parallel_nodes};
-    linear_.set_sweep_options(sweep);
-    pf_.set_sweep_options(sweep);
-  }
+  /// Intra-query parallelism: plans partition their segments per `opts`
+  /// (see plan/exec.hpp); `stats`, when non-null, receives per-segment
+  /// parallel/sequential/skipped counts from every run (the service wires
+  /// its shared counters here). Answers are byte-identical to sequential
+  /// execution at any setting.
+  void set_exec_options(const plan::ExecOptions& opts) { exec_opts_ = opts; }
   void set_exec_stats(plan::ExecStats* stats) { exec_stats_ = stats; }
 
-  /// Runs a borrowed, already-parsed query from a given context. This legacy
-  /// entry point cannot own the AST, so it uses whole-query dispatch (no
-  /// normalization, no staging); Compile + RunPlan gets the full pipeline.
-  Result<Answer> Run(const xml::Document& doc, const xpath::Query& query,
-                     const Context& ctx);
-
  private:
-  /// The single whole-query dispatch site shared by RunPlan and Run.
-  Result<Answer> RunDispatched(const xml::Document& doc,
-                               const xpath::Query& query,
-                               const xpath::FragmentReport& fragment,
-                               Choice choice, const Context& ctx);
-
-  PfEvaluator pf_;
   CoreLinearEvaluator linear_;
   CvtEvaluator cvt_;
   plan::ExecOptions exec_opts_;

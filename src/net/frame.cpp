@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -476,6 +477,9 @@ Status WriteFrame(int fd, std::string_view payload) {
 
 namespace {
 
+/// ReadFrame's first allocation for a frame body, and the least it grows by.
+constexpr size_t kReadChunkBytes = size_t{64} << 10;
+
 /// Reads exactly `size` bytes. `*clean_eof` is set only when EOF hits
 /// before the first byte AND `eof_ok` allows it.
 Status ReadExactly(int fd, char* buffer, size_t size, bool eof_ok,
@@ -515,10 +519,20 @@ Result<std::string> ReadFrame(int fd, bool* clean_eof) {
     return InvalidArgumentError("net: implausible frame size " +
                                 std::to_string(size));
   }
-  std::string payload(size, '\0');
+  // The header is only a claim: grow the buffer as body bytes arrive, so a
+  // peer that announces a huge frame and then stalls or hangs up costs
+  // memory in proportion to what it actually sent. A frame below one chunk
+  // is a single allocation.
+  std::string payload;
   bool ignored = false;
-  GKX_RETURN_IF_ERROR(
-      ReadExactly(fd, payload.data(), size, /*eof_ok=*/false, &ignored));
+  while (payload.size() < size) {
+    const size_t have = payload.size();
+    payload.resize(std::min<size_t>(
+        size, std::max<size_t>(kReadChunkBytes, have * 2)));
+    GKX_RETURN_IF_ERROR(ReadExactly(fd, payload.data() + have,
+                                    payload.size() - have,
+                                    /*eof_ok=*/false, &ignored));
+  }
   if (wal::Crc32(payload.data(), payload.size()) != crc) {
     return InvalidArgumentError("net: frame CRC mismatch");
   }

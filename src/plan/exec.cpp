@@ -16,9 +16,9 @@ using eval::Value;
 
 namespace {
 
-/// One staged-path execution. By default the run owns private engine
-/// instances (concurrent executions never share scratch state), bound once
-/// so memo tables persist across segments of the same run; a caller with a
+/// One plan execution. By default the run owns private engine instances
+/// (concurrent executions never share scratch state), bound once so memo
+/// tables persist across segments of the same run; a caller with a
 /// long-lived engine passes its evaluators via ExecOptions and keeps those
 /// binds warm ACROSS runs of the same (document, plan). With workers > 1
 /// the bitset engine partitions its sweeps and the cvt engine switches its
@@ -37,13 +37,41 @@ class StagedRun {
     if (opts_.workers > 1 && opts_.pool == nullptr) {
       opts_.pool = &ThreadPool::Shared();
     }
-    linear_.set_sweep_options(eval::SweepOptions{
-        opts_.pool, opts_.workers, opts_.min_parallel_nodes});
-    cvt_.set_concurrent(opts_.workers > 1);
-    linear_.Bind(doc);
   }
 
-  Status BindCvt() { return cvt_.Bind(doc_, plan_.query); }
+  Result<Value> Run(const eval::Context& ctx, ExecTrace* trace) {
+    const std::vector<BranchProgram>& branches = plan_.branches;
+    if (branches.front().path == nullptr) return RunExpression(ctx, trace);
+    linear_.set_sweep_options(eval::SweepOptions{
+        opts_.pool, opts_.workers, opts_.min_parallel_nodes});
+    linear_.Bind(doc_);
+    auto result = RunBranch(branches.front(), ctx, trace);
+    if (!result.ok()) return result.status();
+    for (size_t b = 1; b < branches.size(); ++b) {
+      auto branch = RunBranch(branches[b], ctx, trace);
+      if (!branch.ok()) return branch.status();
+      *result |= *branch;
+    }
+    return Value::Nodes(result->ToNodeSet());
+  }
+
+ private:
+  /// The single cvt segment of a plan whose root is not a path or a union
+  /// of paths: the whole expression on the cvt engine, sequentially.
+  Result<Value> RunExpression(const eval::Context& ctx, ExecTrace* trace) {
+    const uint64_t t0 = trace != nullptr ? obs::NowNs() : 0;
+    cvt_.set_concurrent(false);
+    auto value = cvt_.Evaluate(doc_, plan_.query, ctx);
+    if (!value.ok()) return value.status();
+    if (stats_ != nullptr) {
+      stats_->sequential_segments.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (trace != nullptr) {
+      trace->push_back(
+          {Route::kCvt, static_cast<double>(obs::NowNs() - t0) * 1e-9});
+    }
+    return value;
+  }
 
   Result<NodeBitset> RunBranch(const BranchProgram& branch,
                                const eval::Context& ctx, ExecTrace* trace) {
@@ -81,6 +109,13 @@ class StagedRun {
           break;
         }
         case Route::kCvt: {
+          // The cvt engine is bound once per run, at the first cvt segment
+          // that has a frontier: plans without one never pay for the bind.
+          if (!cvt_bound_) {
+            cvt_.set_concurrent(opts_.workers > 1);
+            GKX_RETURN_IF_ERROR(cvt_.Bind(doc_, plan_.query));
+            cvt_bound_ = true;
+          }
           // Materialization boundary: bitset -> document-order node set,
           // per-origin step application on the CVT engine, and back.
           NodeSet current = frontier.ToNodeSet();
@@ -109,7 +144,6 @@ class StagedRun {
     return frontier;
   }
 
- private:
   /// One cvt step over all origins. Past the cost-model threshold the
   /// origin list (document order) splits into contiguous chunks, each
   /// worker appends its survivors to a private set, and the chunks
@@ -167,6 +201,7 @@ class StagedRun {
   const Physical& plan_;
   ExecOptions opts_;
   ExecStats* stats_;
+  bool cvt_bound_ = false;
   // Fallback engines when the caller didn't lend long-lived ones; the
   // references (declared after, so they initialize after) select between
   // the owned and the lent instances.
@@ -181,22 +216,16 @@ class StagedRun {
 Result<Value> ExecuteStaged(const xml::Document& doc, const Physical& plan,
                             const eval::Context& ctx, ExecTrace* trace,
                             const ExecOptions& opts, ExecStats* stats) {
-  GKX_CHECK(plan.staged);
   if (doc.empty()) return InvalidArgumentError("empty document");
   // Buffer the per-segment counts locally and flush only on success: the
-  // caller's dispatch counters count successful staged runs, and the
+  // caller's dispatch counters count successful runs, and the
   // reconciliation invariant (parallel + sequential + skipped == dispatched
   // segments) must hold exactly — a run that fails mid-branch contributes
   // to neither side.
   ExecStats local;
   StagedRun run(doc, plan, opts, stats != nullptr ? &local : nullptr);
-  GKX_RETURN_IF_ERROR(run.BindCvt());
-  NodeBitset merged(doc.size());
-  for (const BranchProgram& branch : plan.branches) {
-    auto result = run.RunBranch(branch, ctx, trace);
-    if (!result.ok()) return result.status();
-    merged |= *result;
-  }
+  auto value = run.Run(ctx, trace);
+  if (!value.ok()) return value.status();
   if (stats != nullptr) {
     stats->parallel_segments.fetch_add(
         local.parallel_segments.load(std::memory_order_relaxed),
@@ -208,7 +237,7 @@ Result<Value> ExecuteStaged(const xml::Document& doc, const Physical& plan,
         local.skipped_segments.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
   }
-  return Value::Nodes(merged.ToNodeSet());
+  return value;
 }
 
 }  // namespace gkx::plan

@@ -1,11 +1,13 @@
-// Hybrid execution of a staged Physical plan (stage 4 of the pipeline in
-// ir.hpp). Bitset-native segments run as frontier sweeps; cvt segments run
-// per origin node through a context-value-table engine bound to the plan's
-// query (so predicate memoization is shared across origins and segments);
-// the materialization boundaries convert NodeBitset ⇄ document-order
-// NodeSet exactly at segment seams. Answers are byte-identical to what any
-// single whole-query engine produces — the evaluator-agreement and soak
-// suites pin this against the naive oracle.
+// Execution of a Physical plan (stage 4 of the pipeline in ir.hpp) — the
+// one way a compiled plan runs. Bitset segments run as frontier sweeps; cvt
+// segments run per origin node through a context-value-table engine bound
+// to the plan's query (so predicate memoization is shared across origins
+// and segments), and a whole-expression cvt segment evaluates the root on
+// that engine; the materialization boundaries convert NodeBitset ⇄
+// document-order NodeSet exactly at segment seams. Answers are
+// byte-identical to the reference engines (PfEvaluator, CoreLinearEvaluator,
+// CvtEvaluator) — the evaluator-agreement and soak suites pin this against
+// the naive oracle.
 
 #ifndef GKX_PLAN_EXEC_HPP_
 #define GKX_PLAN_EXEC_HPP_
@@ -56,12 +58,12 @@ struct ExecOptions {
   eval::CvtEvaluator* cvt = nullptr;
 };
 
-/// How staged segments actually executed. Shared across concurrent
+/// How plan segments actually executed. Shared across concurrent
 /// executions (the service owns one and hands it to every engine), so the
 /// counters are atomic. The invariant the soak reconciliation checks:
-///   parallel + sequential + skipped == total staged segments dispatched,
-/// exactly — every segment of every executed staged plan lands in exactly
-/// one bucket (skipped = its frontier was already empty).
+///   parallel + sequential + skipped == total segments dispatched,
+/// exactly — every segment of every executed plan lands in exactly one
+/// bucket (skipped = its frontier was already empty).
 struct ExecStats {
   std::atomic<int64_t> parallel_segments{0};
   std::atomic<int64_t> sequential_segments{0};
@@ -79,8 +81,9 @@ struct SegmentTiming {
 };
 using ExecTrace = std::vector<SegmentTiming>;
 
-/// Runs a staged plan (plan.staged must be true) from `ctx`. Thread-safe:
-/// all scratch state is local to the call; the plan is only read. When
+/// Runs a plan from `ctx`. Thread-safe: unless `opts` lends long-lived
+/// engines, all scratch state is local to the call; the plan is only read.
+/// The cvt engine is bound only when a cvt segment runs. When
 /// `trace` is non-null, per-segment timings are appended to it. `opts`
 /// controls intra-query parallelism (default: sequential); `stats`, when
 /// non-null, receives one parallel/sequential/skipped increment per

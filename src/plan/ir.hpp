@@ -1,4 +1,4 @@
-// The staged query-plan IR. Compilation is a three-stage pipeline:
+// The query-plan IR. Compilation is a three-stage pipeline:
 //
 //   parse  ──► Normalize ──► ClassifyOps ──► Lower ──► (execute)
 //              (Logical)     (per-op routes)  (Physical)
@@ -29,17 +29,13 @@
 
 namespace gkx::plan {
 
-/// Which engine an op (or a whole plan) is routed to.
+/// Which engine an op (or a plan segment) is routed to.
 enum class Route { kPfFrontier, kCoreLinear, kCvt };
 
-/// Segment-level route label ("pf-frontier", "core-linear", "cvt") — the
-/// tokens joined with '+' in a hybrid plan's evaluator string.
+/// Route label ("pf-frontier", "core-linear", "cvt") — the one vocabulary
+/// shared by Answer.evaluator (joined with '+' for a hybrid plan), the
+/// service's segment counters, route histograms and slow-query log.
 std::string_view RouteName(Route route);
-
-/// Name of the evaluator a whole-query route dispatches to (taken from the
-/// engines' own name() strings, so it cannot drift from what execution
-/// reports: "pf-frontier", "core-linear", "cvt-lazy").
-std::string_view RouteEvaluatorName(Route route);
 
 /// Per-step annotation produced by ClassifyOps.
 struct StepPlan {

@@ -8,25 +8,36 @@ namespace gkx::plan {
 
 namespace {
 
-Route WholeQueryRoute(const xpath::FragmentReport& fragment) {
-  if (fragment.in_pf) return Route::kPfFrontier;
-  if (fragment.in_core) return Route::kCoreLinear;
-  return Route::kCvt;
+/// Whether one engine runs both routes: the bitset sweep runs pf-frontier
+/// and core-linear steps alike (a predicate-free step differs only in the
+/// condition intersection), the cvt engine runs cvt steps.
+bool SameEngine(Route a, Route b) {
+  return (a == Route::kCvt) == (b == Route::kCvt);
 }
 
-/// Fuses the top-level steps of `path` into contiguous same-route segments.
+/// Appends `segment`, fusing it into the last one when the same engine runs
+/// both. A fused bitset run is core-linear once any of its steps is.
+void AppendFused(const Segment& segment, std::vector<Segment>* segments) {
+  if (segments->empty() || !SameEngine(segments->back().route, segment.route)) {
+    segments->push_back(segment);
+    return;
+  }
+  Segment& last = segments->back();
+  last.step_end = segment.step_end;
+  if (segment.route == Route::kCoreLinear) last.route = Route::kCoreLinear;
+}
+
+/// Fuses the top-level steps of `path` into engine runs. A step-free path
+/// ("/") is one empty pf-frontier segment, so every branch has a segment.
 std::vector<Segment> FuseSegments(const xpath::PathExpr& path,
                                   const std::vector<StepPlan>& steps) {
   std::vector<Segment> segments;
   for (int s = 0; s < static_cast<int>(path.step_count()); ++s) {
     const xpath::Step& step = path.step(static_cast<size_t>(s));
-    const Route route = steps[static_cast<size_t>(step.id)].route;
-    if (!segments.empty() && segments.back().route == route) {
-      segments.back().step_end = s + 1;
-    } else {
-      segments.push_back(Segment{route, s, s + 1});
-    }
+    AppendFused(Segment{steps[static_cast<size_t>(step.id)].route, s, s + 1},
+                &segments);
   }
+  if (segments.empty()) segments.push_back(Segment{Route::kPfFrontier, 0, 0});
   return segments;
 }
 
@@ -35,6 +46,7 @@ std::vector<Segment> FuseSegments(const xpath::PathExpr& path,
 /// handful of sweeps. Running those steps on the (already bound) cvt engine
 /// is sound — cvt evaluates the full fragment — and removes both seams, so
 /// demote while the CostModel says the boundaries dominate, then re-fuse.
+/// Runs after fusion, so it sees the true length of each bitset run.
 void DemoteSandwichedSegments(std::vector<Segment>* segments) {
   const int max_steps = kDefaultCostModel.max_demoted_steps();
   bool demoted = false;
@@ -49,13 +61,7 @@ void DemoteSandwichedSegments(std::vector<Segment>* segments) {
   }
   if (!demoted) return;
   std::vector<Segment> fused;
-  for (const Segment& segment : *segments) {
-    if (!fused.empty() && fused.back().route == segment.route) {
-      fused.back().step_end = segment.step_end;
-    } else {
-      fused.push_back(segment);
-    }
-  }
+  for (const Segment& segment : *segments) AppendFused(segment, &fused);
   *segments = std::move(fused);
 }
 
@@ -67,12 +73,10 @@ Physical Lower(Logical logical) {
   out.canonical_text = std::move(logical.canonical_text);
   out.fragment = std::move(logical.fragment);
   out.steps = std::move(logical.steps);
-  out.choice = WholeQueryRoute(out.fragment);
   out.footprint = ExtractFootprint(out.query);
 
   // Collect the top-level branch paths (root path, or union of paths).
-  // Anything else — scalar roots, unions with non-path branches — keeps
-  // whole-query dispatch.
+  // Anything else is one cvt segment over the whole expression.
   const xpath::Expr& root = out.query.root();
   std::vector<const xpath::PathExpr*> paths;
   if (root.kind() == xpath::Expr::Kind::kPath) {
@@ -88,43 +92,25 @@ Physical Lower(Logical logical) {
     }
   }
 
-  bool any_cvt = false;
-  bool any_bitset = false;
-  std::vector<BranchProgram> branches;
+  if (paths.empty()) {
+    out.branches.push_back(
+        BranchProgram{nullptr, {Segment{Route::kCvt, 0, 0}}});
+  }
   for (const xpath::PathExpr* path : paths) {
-    BranchProgram branch;
-    branch.path = path;
-    branch.segments = FuseSegments(*path, out.steps);
+    BranchProgram branch{path, FuseSegments(*path, out.steps)};
     DemoteSandwichedSegments(&branch.segments);
-    for (const Segment& segment : branch.segments) {
-      (segment.route == Route::kCvt ? any_cvt : any_bitset) = true;
-    }
-    branches.push_back(std::move(branch));
+    out.branches.push_back(std::move(branch));
   }
 
-  // Stage only genuine hybrids: a uniform plan runs the classic dispatch at
-  // identical cost, so staging it would only churn labels.
-  out.staged = any_cvt && any_bitset;
-  if (!out.staged) {
-    out.route_label = std::string(RouteEvaluatorName(out.choice));
-    return out;
-  }
-
-  out.branches = std::move(branches);
+  // The label fuses across branch boundaries by the same engine rule, so a
+  // union of bitset-only branches reads as the one route that runs it.
+  std::vector<Segment> label;
   for (const BranchProgram& branch : out.branches) {
-    for (const Segment& segment : branch.segments) {
-      const std::string_view name = RouteName(segment.route);
-      if (!out.route_label.empty()) {
-        // Collapse consecutive duplicates across branch boundaries.
-        const size_t at = out.route_label.rfind('+');
-        const std::string_view last =
-            std::string_view(out.route_label)
-                .substr(at == std::string::npos ? 0 : at + 1);
-        if (last == name) continue;
-        out.route_label += '+';
-      }
-      out.route_label += name;
-    }
+    for (const Segment& segment : branch.segments) AppendFused(segment, &label);
+  }
+  for (const Segment& segment : label) {
+    if (!out.route_label.empty()) out.route_label += '+';
+    out.route_label += RouteName(segment.route);
   }
   return out;
 }

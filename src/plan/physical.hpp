@@ -1,18 +1,19 @@
 // The physical program: stage 3 of the compile pipeline (see ir.hpp).
 //
-// Lower() fuses contiguous same-engine runs of steps into pipeline
-// segments. A bitset-native segment (pf-frontier / core-linear) flows a
-// NodeBitset frontier from step to step in O(|D|) sweeps; a cvt segment
-// evaluates its steps per origin node through the context-value tables.
-// Between a bitset segment and a cvt segment sits an explicit
+// Lower() fuses contiguous runs of steps into pipeline segments, keyed on
+// the engine that runs them. A bitset segment flows a NodeBitset frontier
+// from step to step in O(|D|) sweeps: `pf-frontier` when no step of the run
+// has predicates, `core-linear` once any step has a Core predicate. A `cvt`
+// segment evaluates its steps per origin node through the context-value
+// tables. Between a bitset segment and a cvt segment sits an explicit
 // materialization boundary (NodeBitset ⇄ document-order NodeSet) — the only
 // points where representation conversion happens, so a mixed query pays for
 // generality exactly where it uses it.
 //
-// A plan is *staged* only when it genuinely mixes routes (some segment
-// needs CVT and some does not). Uniform plans keep the classic whole-query
-// dispatch — same engines, same labels, zero overhead — so staging is a
-// strict refinement of the old {AST, fragment, Choice} plan.
+// Every plan runs through the segment executor (exec.hpp). A uniform plan
+// is simply a plan whose segments all take one route; a root that is not a
+// location path or a union of paths (count(...), a union with a filter
+// branch, ...) is one `cvt` segment that evaluates the whole expression.
 //
 // Physical plans are immutable after Lower and safe to share across
 // threads; the PlanCache hands them out as shared_ptr<const Physical>.
@@ -21,7 +22,6 @@
 #define GKX_PLAN_PHYSICAL_HPP_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "plan/footprint.hpp"
@@ -68,40 +68,36 @@ struct Segment {
   int step_end = 0;
 };
 
-/// The staged program for one top-level location path (the root path, or
-/// one branch of a root union).
+/// The segment program for one top-level location path (the root path, or
+/// one branch of a root union), or for the whole root expression when
+/// `path` is null.
 struct BranchProgram {
   const xpath::PathExpr* path = nullptr;  // borrowed from Physical::query
   std::vector<Segment> segments;
 };
 
 /// A compiled, immutable physical plan. `eval::Engine::Plan` is an alias of
-/// this type; the legacy fields (query / fragment / choice) keep their old
-/// names so the migration is source-compatible.
+/// this type.
 struct Physical {
   xpath::Query query;              // normalized AST (owns the tree)
   std::string canonical_text;      // the PlanCache normal form
   xpath::FragmentReport fragment;  // whole-query report
   std::vector<StepPlan> steps;     // per-step annotations, by Step::id
 
-  /// Whole-query route — the dispatch used when the plan is not staged,
-  /// and what classic whole-query dispatch would have chosen regardless.
-  Route choice = Route::kCvt;
+  /// The segment programs, one per top-level branch; never empty. A root
+  /// that is not a path or a union of paths is a single branch with a null
+  /// path and one cvt segment.
+  std::vector<BranchProgram> branches;
 
-  /// True when execution runs the segment pipeline; false = single-engine.
-  bool staged = false;
-  std::vector<BranchProgram> branches;  // non-empty iff staged
-
-  /// The per-segment route list, e.g. "pf-frontier+cvt+pf-frontier"
-  /// (consecutive duplicates collapsed); for uniform plans this is just the
-  /// evaluator name. This is what Engine::Answer.evaluator reports.
+  /// The route list, e.g. "pf-frontier+cvt+pf-frontier": segment routes in
+  /// plan order, with neighbours that the same engine runs fused across
+  /// branch boundaries too. A uniform plan is a single route. This is what
+  /// Engine::Answer.evaluator reports.
   std::string route_label;
 
   /// Conservative tag/axis dependency set (see footprint.hpp) — what the
   /// mview answer cache and subscription manager key invalidation on.
   Footprint footprint;
-
-  std::string_view evaluator_name() const { return route_label; }
 };
 
 /// Stage 3: segment fusion. `logical` must be classified (ClassifyOps).

@@ -19,6 +19,10 @@ inline double SecondsBetween(uint64_t begin_ns, uint64_t end_ns) {
   return static_cast<double>(end_ns - begin_ns) * 1e-9;
 }
 
+/// The route label of the index fast path, the one route outside the
+/// segment executor.
+constexpr const char* kIndexedRoute = "pf-indexed";
+
 }  // namespace
 
 QueryService::QueryService(const Options& options)
@@ -196,19 +200,19 @@ Result<QueryService::Answer> QueryService::Process(
   }
   const uint64_t t_cache = sampled ? obs::NowNs() : 0;
 
-  // Per-segment timings for staged plans; empty for everything else. The
-  // trace has exactly one entry per plan segment (skipped segments report
-  // 0.0s), which is what keeps route-histogram counts reconcilable against
-  // segment_route_counts.
+  // The executor's segment trace: exactly one entry per plan segment
+  // (skipped segments report 0.0s). It is the single source of the segment
+  // counters, route histograms and slow-log routes below, which is what
+  // keeps them reconcilable against each other and against exec_stats_.
   plan::ExecTrace exec_trace;
   bool indexed = false;
   const uint64_t t_exec_begin =
       tracing_ && !answered ? obs::NowNs() : 0;
-  if (!answered && options_.indexed_fast_path && plan->fragment.in_pf) {
+  if (!answered && plan->fragment.in_pf) {
     if (auto nodes = TryIndexedPath(stored->index(), plan->query)) {
       answer.value = eval::Value::Nodes(std::move(*nodes));
       answer.fragment = plan->fragment;
-      answer.evaluator = "pf-indexed";
+      answer.evaluator = kIndexedRoute;
       answered = true;
       indexed = true;
     }
@@ -216,8 +220,7 @@ Result<QueryService::Answer> QueryService::Process(
   const bool evaluated = !from_answer_cache;
   if (!answered) {
     auto run = engine.RunPlan(stored->doc(), *plan,
-                              eval::RootContext(stored->doc()),
-                              tracing_ && plan->staged ? &exec_trace : nullptr);
+                              eval::RootContext(stored->doc()), &exec_trace);
     if (!run.ok()) return fail(run.status());
     answer = std::move(run).value();
   }
@@ -231,21 +234,18 @@ Result<QueryService::Answer> QueryService::Process(
   const uint64_t t_insert = tracing_ && evaluated ? obs::NowNs() : 0;
   if (options_.answer_tap) options_.answer_tap(&answer);
 
+  // Answer-cache hits executed nothing: no segment counter moves. The
+  // index fast path is the one route outside the executor; it counts as a
+  // single "pf-indexed" segment.
   evaluator_counters_.Increment(answer.evaluator);
-  if (from_answer_cache) {
-    // Nothing executed; segment counters track evaluated plans only.
-  } else if (plan->staged) {
-    int64_t segments = 0;
-    for (const auto& branch : plan->branches) {
-      for (const auto& segment : branch.segments) {
-        segment_route_counters_.Increment(plan::RouteName(segment.route));
-        ++segments;
-      }
+  if (indexed) {
+    segment_route_counters_.Increment(kIndexedRoute);
+  } else if (!exec_trace.empty()) {
+    for (const plan::SegmentTiming& timing : exec_trace) {
+      segment_route_counters_.Increment(plan::RouteName(timing.route));
     }
-    staged_segments_.fetch_add(segments, std::memory_order_relaxed);
-  } else {
-    // Uniform plan (or the index fast path): one whole-query segment.
-    segment_route_counters_.Increment(answer.evaluator);
+    staged_segments_.fetch_add(static_cast<int64_t>(exec_trace.size()),
+                               std::memory_order_relaxed);
   }
 
   const uint64_t t_end = obs::NowNs();
@@ -259,20 +259,13 @@ Result<QueryService::Answer> QueryService::Process(
       stage_execute_->RecordValue(t_exec - t_exec_begin);
       stage_cache_insert_->RecordValue(t_insert - t_exec);
     }
-    // Route histograms mirror the segment counters one-for-one: staged
-    // plans record each segment under its route, everything else records
-    // its single whole-query dispatch — except answer-cache hits, which
-    // executed nothing and increment no segment counter either.
-    if (from_answer_cache) {
-      // No route ran.
-    } else if (plan->staged) {
-      for (const plan::SegmentTiming& timing : exec_trace) {
-        route_hists_.Get(plan::RouteName(timing.route))
-            ->Record(timing.seconds);
-      }
-    } else {
-      route_hists_.Get(answer.evaluator)
+    // Route histograms mirror the segment counters one-for-one.
+    if (indexed) {
+      route_hists_.Get(kIndexedRoute)
           ->Record(SecondsBetween(t_exec_begin, t_exec));
+    }
+    for (const plan::SegmentTiming& timing : exec_trace) {
+      route_hists_.Get(plan::RouteName(timing.route))->Record(timing.seconds);
     }
     const double total_ms = MillisBetween(t_start, t_end);
     if (slow_log_.Eligible(total_ms)) {
@@ -281,14 +274,10 @@ Result<QueryService::Answer> QueryService::Process(
       slow.query = plan->canonical_text;
       slow.revision = static_cast<uint64_t>(stored->revision());
       slow.total_ms = total_ms;
-      if (from_answer_cache) {
-        slow.routes.push_back("answer-cache");
-      } else if (plan->staged) {
-        for (const plan::SegmentTiming& timing : exec_trace) {
-          slow.routes.emplace_back(plan::RouteName(timing.route));
-        }
-      } else {
-        slow.routes.push_back(indexed ? "pf-indexed" : answer.evaluator);
+      if (from_answer_cache) slow.routes.push_back("answer-cache");
+      if (indexed) slow.routes.push_back(kIndexedRoute);
+      for (const plan::SegmentTiming& timing : exec_trace) {
+        slow.routes.emplace_back(plan::RouteName(timing.route));
       }
       // The breakdown carries every span this request actually stamped:
       // the lookup stages when it was a sampled request, the execution

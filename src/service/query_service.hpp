@@ -20,10 +20,10 @@
 //      lex/parse/classify),
 //   3. answer-cache lookup by (doc, revision, canonical plan) — a hit skips
 //      evaluation entirely and is byte-identical to running the plan,
-//   4. on miss, dispatch: the indexed PF fast path when the plan's shape
-//      allows it (evaluator label "pf-indexed"), otherwise the
-//      fragment-chosen engine exactly as Engine::Run would; the fresh
-//      answer is inserted into the answer cache.
+//   4. on miss, execute: the indexed PF fast path when the plan's shape
+//      allows it (evaluator label "pf-indexed"), otherwise the plan's
+//      segments on the segment executor exactly as Engine::RunPlan would;
+//      the fresh answer is inserted into the answer cache.
 // Answer *values* are identical to a fresh Engine::Run of the same text.
 // The fragment report and evaluator label describe the cached plan, which
 // is compiled from the query's canonical (optimized) form — so a
@@ -80,12 +80,12 @@ struct ServiceStats {
   /// skipped_disjoint,evaluations}.
   mview::SubscriptionManager::Counters subscriptions;
   std::map<std::string, int64_t> evaluator_counts;
-  /// How often each route executed as a plan *segment*: a hybrid plan
-  /// counts one increment per segment ("pf-frontier", "core-linear",
-  /// "cvt"), a uniform plan counts as its single whole-query segment, the
-  /// index fast path as "pf-indexed". Answer-cache hits execute nothing and
-  /// increment no segment counter (their evaluator label still counts in
-  /// evaluator_counts), so Σ segment counts tracks *evaluated* requests.
+  /// How often each route executed as a plan *segment*: every evaluated
+  /// plan counts one increment per executed segment ("pf-frontier",
+  /// "core-linear", "cvt"), the index fast path one "pf-indexed".
+  /// Answer-cache hits execute nothing and increment no segment counter
+  /// (their evaluator label still counts in evaluator_counts), so
+  /// Σ segment counts tracks *evaluated* requests.
   std::map<std::string, int64_t> segment_route_counts;
   /// Per-route execution-latency summaries, keyed exactly like
   /// segment_route_counts. Populated only while tracing is active; when it
@@ -95,11 +95,13 @@ struct ServiceStats {
   /// Whether per-stage/per-route tracing is active (Options::obs.tracing
   /// and not compiled out via GKX_OBS_DISABLED).
   bool tracing = false;
-  /// Segments dispatched by staged (hybrid) evaluated plans — the subset of
-  /// Σ segment_route_counts that went through the staged executor.
+  /// Segments the segment executor dispatched for evaluated requests.
+  /// Everything but the index fast path runs there, so (checked by the
+  /// soak reconciliation and check_stats_json)
+  ///   staged_segments + segment_route_counts["pf-indexed"]
+  ///     == Σ segment_route_counts, exactly.
   int64_t staged_segments = 0;
-  /// How those staged segments actually executed (see plan/exec.hpp).
-  /// Invariant, checked by the soak reconciliation and check_stats_json:
+  /// How those segments actually executed (see plan/exec.hpp). Invariant:
   /// parallel + sequential + skipped == staged_segments, exactly — also
   /// when segments execute concurrently.
   int64_t exec_parallel_segments = 0;
@@ -133,8 +135,6 @@ class QueryService {
     /// Concurrent workers per batch; 0 = pool width (the calling thread
     /// always participates).
     int batch_workers = 0;
-    /// Answer eligible PF queries from the DocumentIndex ("pf-indexed").
-    bool indexed_fast_path = true;
     /// Intra-query parallelism (plan/exec.hpp): workers > 1 partitions
     /// bitset sweeps and cvt origin loops of each request across the pool.
     /// exec.pool == nullptr uses the service pool. Answers are identical at

@@ -49,8 +49,10 @@ enum class StatsFormat {
   kJson,  // the structured "gkx-stats-v1" document
 };
 
-/// How often each evaluator produced an answer ("pf-frontier",
-/// "core-linear", "cvt-lazy", "pf-indexed", ...).
+/// Per-label counts in the one route vocabulary: how often each
+/// Answer.evaluator label produced an answer ("pf-frontier", "core-linear",
+/// "cvt", "pf-frontier+cvt", "pf-indexed", ...), or how often each route ran
+/// as a plan segment ("pf-frontier", "core-linear", "cvt", "pf-indexed").
 class EvaluatorCounters {
  public:
   void Increment(std::string_view evaluator) {

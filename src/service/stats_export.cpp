@@ -100,12 +100,15 @@ Value BuildStatsDocument(const StatsExportInputs& inputs) {
     root["segment_route_counts"] = std::move(counts);
   }
   {
-    // Staged-executor dispatch accounting. Invariant (checked by
-    // tools/check_stats_json and the soak reconciliation):
-    // parallel + sequential + skipped == staged_segments, exactly — the
-    // per-segment buckets are flushed atomically per successful run, so
-    // the identity holds even while segments execute concurrently (and
-    // across shards: every term is a plain sum).
+    // Segment-executor dispatch accounting. Invariants (checked by
+    // tools/check_stats_json and the soak reconciliation), exactly:
+    //   parallel + sequential + skipped == staged_segments — the
+    //   per-segment buckets are flushed atomically per successful run, so
+    //   the identity holds even while segments execute concurrently;
+    //   staged_segments + segment_route_counts["pf-indexed"]
+    //     == Σ segment_route_counts — only the index fast path runs
+    //   outside the executor.
+    // Both hold across shards too: every term is a plain sum.
     Value exec = Value::Object();
     exec["staged_segments"] = Value(stats.staged_segments);
     exec["parallel_segments"] = Value(stats.exec_parallel_segments);

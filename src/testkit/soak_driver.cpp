@@ -391,16 +391,22 @@ class Replay {
       require(route_hist_total == SumCounts(stats.segment_route_counts),
               "sum of route histogram counts != sum of segment counters");
     }
-    // Staged-executor accounting: every segment a staged run dispatched
-    // landed in exactly one of the parallel/sequential/skipped buckets —
-    // also when segments executed concurrently (exec.workers > 1; the
-    // parallel soak rounds run this way under TSan).
+    // Segment-executor accounting: every segment a run dispatched landed
+    // in exactly one of the parallel/sequential/skipped buckets — also
+    // when segments executed concurrently (exec.workers > 1; the parallel
+    // soak rounds run this way under TSan) — and every evaluated request
+    // but the index fast path went through the executor.
     require(stats.exec_parallel_segments + stats.exec_sequential_segments +
                     stats.exec_skipped_segments ==
                 stats.staged_segments,
             "exec parallel+sequential+skipped buckets != staged segments");
-    require(stats.staged_segments <= SumCounts(stats.segment_route_counts),
-            "staged segments exceed total segment dispatches");
+    const auto indexed = stats.segment_route_counts.find("pf-indexed");
+    require(stats.staged_segments +
+                    (indexed == stats.segment_route_counts.end()
+                         ? 0
+                         : indexed->second) ==
+                SumCounts(stats.segment_route_counts),
+            "staged segments + pf-indexed != total segment dispatches");
     if (exec_workers_ <= 1) {
       require(stats.exec_parallel_segments == 0,
               "parallel segments recorded with exec.workers <= 1");

@@ -1,6 +1,6 @@
-// Engine facade tests: fragment-driven dispatch (Core queries to the linear
-// engine, everything else to context-value tables), parse error propagation,
-// and end-to-end answers.
+// Engine facade tests: route labels (bitset runs report pf-frontier or
+// core-linear, everything else cvt, mixed plans the route list), segment
+// shapes, parse error propagation, and end-to-end answers.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ TEST(EngineTest, DispatchesPositionalToCvt) {
   Engine engine;
   auto answer = engine.Run(doc, "/descendant::a[position() = 2]");
   ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->evaluator, "cvt-lazy");
+  EXPECT_EQ(answer->evaluator, "cvt");
   EXPECT_EQ(answer->fragment.smallest, xpath::Fragment::kPWF);
   EXPECT_EQ(answer->value.nodes(), (NodeSet{4}));
 }
@@ -53,13 +53,26 @@ TEST(EngineTest, ParseErrorsPropagate) {
   EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineTest, CustomContext) {
+TEST(EngineTest, PlansRunFromACustomContext) {
   xml::Document doc = Doc();
   Engine engine;
-  xpath::Query query = xpath::MustParse("child::b");
-  auto answer = engine.Run(doc, query, Context{1, 1, 1});
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->value.nodes(), (NodeSet{2, 3}));
+  auto path = Engine::Compile("child::b");
+  ASSERT_TRUE(path.ok());
+  auto nodes = engine.RunPlan(doc, *path, Context{1, 1, 1});
+  ASSERT_TRUE(nodes.ok());
+  EXPECT_EQ(nodes->value.nodes(), (NodeSet{2, 3}));
+
+  // A scalar root is one whole-expression cvt segment; it too reads the
+  // context node.
+  auto scalar = Engine::Compile("count(child::b) + position()");
+  ASSERT_TRUE(scalar.ok());
+  auto from_a = engine.RunPlan(doc, *scalar, Context{1, 2, 3});
+  ASSERT_TRUE(from_a.ok());
+  EXPECT_DOUBLE_EQ(from_a->value.number(), 4.0);
+  EXPECT_EQ(from_a->evaluator, "cvt");
+  auto from_root = engine.RunPlan(doc, *scalar);
+  ASSERT_TRUE(from_root.ok());
+  EXPECT_DOUBLE_EQ(from_root->value.number(), 1.0);
 }
 
 TEST(EngineTest, FragmentReportComplexityVerdicts) {
@@ -100,14 +113,44 @@ TEST(EngineTest, HybridPlansReportTheRouteList) {
 TEST(EngineTest, CompiledHybridPlanExposesSegments) {
   auto plan = Engine::Compile("/descendant::a/child::b[position() = 2]");
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->staged);
   ASSERT_EQ(plan->branches.size(), 1u);
   ASSERT_EQ(plan->branches[0].segments.size(), 2u);
-  EXPECT_EQ(plan->branches[0].segments[0].route, Engine::Choice::kPfFrontier);
-  EXPECT_EQ(plan->branches[0].segments[1].route, Engine::Choice::kCvt);
-  // The whole-query fallback route is what classic dispatch would pick.
-  EXPECT_EQ(plan->choice, Engine::Choice::kCvt);
-  EXPECT_EQ(plan->evaluator_name(), "pf-frontier+cvt");
+  EXPECT_EQ(plan->branches[0].segments[0].route, plan::Route::kPfFrontier);
+  EXPECT_EQ(plan->branches[0].segments[1].route, plan::Route::kCvt);
+  EXPECT_EQ(plan->route_label, "pf-frontier+cvt");
+}
+
+TEST(EngineTest, UniformPlansAreOneSegment) {
+  const struct {
+    const char* query;
+    plan::Route route;
+    const char* label;
+  } cases[] = {
+      {"/descendant::a/child::b", plan::Route::kPfFrontier, "pf-frontier"},
+      {"/descendant::a[not(child::b)]/child::c", plan::Route::kCoreLinear,
+       "core-linear"},
+      {"/descendant::a[position() = 2]/child::b[position() = 1]",
+       plan::Route::kCvt, "cvt"},
+      {"count(/descendant::b) * 10", plan::Route::kCvt, "cvt"},
+  };
+  xml::Document doc = Doc();
+  for (const auto& c : cases) {
+    auto plan = Engine::Compile(c.query);
+    ASSERT_TRUE(plan.ok()) << c.query;
+    ASSERT_EQ(plan->branches.size(), 1u) << c.query;
+    ASSERT_EQ(plan->branches[0].segments.size(), 1u) << c.query;
+    EXPECT_EQ(plan->branches[0].segments[0].route, c.route) << c.query;
+    EXPECT_EQ(plan->route_label, c.label) << c.query;
+
+    // The executor traces exactly that one segment.
+    Engine engine;
+    plan::ExecTrace trace;
+    auto answer = engine.RunPlan(doc, *plan, RootContext(doc), &trace);
+    ASSERT_TRUE(answer.ok()) << c.query;
+    EXPECT_EQ(answer->evaluator, c.label);
+    ASSERT_EQ(trace.size(), 1u) << c.query;
+    EXPECT_EQ(trace[0].route, c.route) << c.query;
+  }
 }
 
 }  // namespace

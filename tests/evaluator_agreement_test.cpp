@@ -207,11 +207,12 @@ TEST(AgreementTest, NonRootContexts) {
   }
 }
 
-// Hybrid (staged) plans: generated mixed queries whose plans route
-// different subexpressions to different engines must still answer
-// byte-identically to the naive oracle. This is the differential check for
-// the materialization boundaries of plan::ExecuteStaged.
-TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
+// Plan execution: every generated plan — hybrid, uniform and scalar-root
+// alike — runs through plan::ExecuteStaged and must answer byte-identically
+// to the naive oracle. Hybrid plans route different subexpressions to
+// different engines, so this is also the differential check for the
+// materialization boundaries.
+TEST(StagedPlanAgreementTest, EveryPlanMatchesTheNaiveOracle) {
   Rng rng(9001);
   xml::RandomDocumentOptions doc_options;
   doc_options.node_count = 50;
@@ -220,7 +221,7 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
 
   NaiveEvaluator naive;
   Engine engine;
-  int staged_seen = 0;
+  int hybrid_seen = 0;
   for (Fragment fragment :
        {Fragment::kPWF, Fragment::kWF, Fragment::kPXPath,
         Fragment::kFullXPath}) {
@@ -231,11 +232,9 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
       Document doc = xml::RandomDocument(&rng, doc_options);
       Query query = xpath::RandomQuery(&rng, query_options);
       // The plan normalizes the query; compare against the oracle on the
-      // plan's own AST so the check isolates staged execution (Optimize
+      // plan's own AST so the check isolates plan execution (Optimize
       // soundness is the metamorphic suite's job).
       Engine::Plan plan = Engine::CompileParsed(std::move(query));
-      if (!plan.staged) continue;
-      ++staged_seen;
       auto expected = naive.EvaluateAtRoot(doc, plan.query);
       ASSERT_TRUE(expected.ok()) << plan.canonical_text;
       auto answer = engine.RunPlan(doc, plan);
@@ -244,14 +243,23 @@ TEST(StagedPlanAgreementTest, HybridPlansMatchTheNaiveOracle) {
       EXPECT_TRUE(expected->Equals(answer->value))
           << answer->evaluator << " disagrees on " << plan.canonical_text
           << "\n  naive:  " << expected->DebugString()
-          << "\n  staged: " << answer->value.DebugString();
-      EXPECT_NE(answer->evaluator.find('+'), std::string::npos)
-          << "staged plans must report a route list: " << answer->evaluator;
+          << "\n  plan:   " << answer->value.DebugString();
+      bool cvt = false, bitset = false;
+      for (const plan::BranchProgram& branch : plan.branches) {
+        for (const plan::Segment& segment : branch.segments) {
+          (segment.route == plan::Route::kCvt ? cvt : bitset) = true;
+        }
+      }
+      // A plan reports a '+'-joined route list exactly when it mixes cvt
+      // and bitset segments.
+      EXPECT_EQ(cvt && bitset, answer->evaluator.find('+') != std::string::npos)
+          << answer->evaluator << " for " << plan.canonical_text;
+      if (cvt && bitset) ++hybrid_seen;
     }
   }
   // The generators produce plenty of PF-spine + positional-predicate
-  // shapes; if this drops to zero the lowering stopped staging anything.
-  EXPECT_GT(staged_seen, 20);
+  // shapes; if this drops to zero the lowering stopped mixing engines.
+  EXPECT_GT(hybrid_seen, 20);
 }
 
 // The CVT evaluator must do polynomially bounded work: on the nested

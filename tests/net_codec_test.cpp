@@ -6,18 +6,21 @@
 //     payloads and signed zeros via raw IEEE-754 bits), fragment reports,
 //     subtree edits, non-OK statuses.
 //   * Rejection: wrong version, unknown type, truncated bodies, trailing
-//     bytes, CRC mismatches, oversized size fields — all fail cleanly.
+//     bytes, CRC mismatches, oversized size fields — all fail cleanly, and
+//     a size header that lies costs only the bytes that actually arrive.
 //   * Dispatch: the server's request→response mapping, without sockets.
 //   * Loopback: a real server + client over 127.0.0.1 — register, query,
 //     batch (answers byte-identical to in-process), update, stats, remove.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -304,6 +307,41 @@ TEST(NetCodecTest, StreamIoRejectsCorruptionAndHonorsCleanEof) {
   EXPECT_TRUE(eof->empty());
   ::close(fds[0]);
   ::close(fds2[0]);
+}
+
+/// Peak resident set (VmHWM) of this process in KiB, or -1 if unreadable.
+int64_t PeakRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(NetCodecTest, LyingSizeHeaderCostsOnlyWhatArrives) {
+  // A header that claims hundreds of MiB (under the cap), a few body bytes,
+  // then EOF: the read fails, and the claimed size is never allocated.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const uint32_t claimed = uint32_t{768} << 20;
+  ASSERT_LE(claimed, kMaxPayloadBytes);
+  std::string frame(8, '\0');
+  std::memcpy(frame.data(), &claimed, sizeof(claimed));
+  frame += std::string(1000, 'x');
+  ASSERT_EQ(::write(fds[1], frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  ::close(fds[1]);
+
+  const int64_t before = PeakRssKib();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status VmHWM";
+  bool clean_eof = false;
+  Result<std::string> read = ReadFrame(fds[0], &clean_eof);
+  EXPECT_FALSE(read.ok());
+  EXPECT_FALSE(clean_eof);
+  EXPECT_LT(PeakRssKib() - before, int64_t{4} << 10)
+      << "ReadFrame grew the peak RSS by more than 4 MiB";
+  ::close(fds[0]);
 }
 
 // ---------------------------------------------------------------- dispatch

@@ -265,7 +265,7 @@ TEST(ExportStatsTest, JsonRoundTripReconciles) {
       "/descendant::a[child::b]",                // PF with condition
       "count(/descendant::c)",                   // full XPath scalar
       "/descendant::b[position() = 2]",          // positional
-      "/descendant::a/child::b[position() = 1]/descendant::c",  // staged
+      "/descendant::a/child::b[position() = 1]/descendant::c",  // hybrid
   };
   int64_t requests = 0;
   for (int round = 0; round < 3; ++round) {

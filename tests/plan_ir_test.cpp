@@ -1,9 +1,11 @@
-// The staged plan IR: normalize idempotence, per-subexpression
-// classification golden cases, segment lowering, and materialization-
-// boundary correctness (hybrid execution must be byte-identical to the
-// naive spec-reading oracle, from root and non-root contexts alike).
+// The plan IR: normalize idempotence, per-subexpression classification
+// golden cases, segment lowering (fusion, demotion, route labels), and
+// execution correctness (every plan shape — hybrid, uniform, scalar root —
+// must be byte-identical to the naive spec-reading oracle, from root and
+// non-root contexts alike).
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,42 +76,80 @@ TEST(ClassifyOpsTest, AnnotatesEveryStepWithItsCheapestRoute) {
   EXPECT_FALSE(plan.steps[1].note.empty());
   EXPECT_EQ(plan.steps[2].route, Route::kPfFrontier);
 
-  EXPECT_TRUE(plan.staged);
   ASSERT_EQ(plan.branches.size(), 1u);
   ASSERT_EQ(plan.branches[0].segments.size(), 3u);
   EXPECT_EQ(plan.route_label, "pf-frontier+cvt+pf-frontier");
-  EXPECT_EQ(plan.evaluator_name(), plan.route_label);
 }
 
-TEST(ClassifyOpsTest, CorePredicatesStayOnTheBitsetPath) {
+/// The (route, step_begin, step_end) triples of one branch, for compact
+/// segment-shape asserts.
+std::vector<std::tuple<Route, int, int>> Shape(const BranchProgram& branch) {
+  std::vector<std::tuple<Route, int, int>> out;
+  for (const Segment& segment : branch.segments) {
+    out.emplace_back(segment.route, segment.step_begin, segment.step_end);
+  }
+  return out;
+}
+
+TEST(LowerTest, UniformPfPathIsOnePfFrontierSegment) {
+  Physical plan = CompileText("/descendant::a/child::b/descendant::c");
+  ASSERT_EQ(plan.branches.size(), 1u);
+  EXPECT_EQ(Shape(plan.branches[0]),
+            (std::vector<std::tuple<Route, int, int>>{
+                {Route::kPfFrontier, 0, 3}}));
+  EXPECT_EQ(plan.route_label, "pf-frontier");
+
+  // The step-free root path still has its (empty) segment.
+  Physical root = CompileText("/");
+  ASSERT_EQ(root.branches.size(), 1u);
+  EXPECT_EQ(Shape(root.branches[0]),
+            (std::vector<std::tuple<Route, int, int>>{
+                {Route::kPfFrontier, 0, 0}}));
+  EXPECT_EQ(root.route_label, "pf-frontier");
+}
+
+TEST(LowerTest, CorePredicatesFuseIntoOneCoreLinearSegment) {
   // Core bexpr predicates (including not()) are condition-set evaluable:
-  // the plan stays uniform and keeps the classic whole-query dispatch.
+  // the predicate step and the predicate-free step after it are one bitset
+  // run, labelled core-linear because one of its steps has a predicate.
   Physical plan = CompileText("/descendant::a[not(child::b)]/child::c");
   EXPECT_EQ(plan.steps[0].route, Route::kCoreLinear);
   EXPECT_TRUE(plan.steps[0].core_predicates);
   EXPECT_EQ(plan.steps[1].route, Route::kPfFrontier);
-  EXPECT_FALSE(plan.staged) << "no CVT segment => no staging";
-  EXPECT_EQ(plan.choice, Route::kCoreLinear);
+  ASSERT_EQ(plan.branches.size(), 1u);
+  EXPECT_EQ(Shape(plan.branches[0]),
+            (std::vector<std::tuple<Route, int, int>>{
+                {Route::kCoreLinear, 0, 2}}));
   EXPECT_EQ(plan.route_label, "core-linear");
 }
 
-TEST(ClassifyOpsTest, MixedPredicatesOnOneStepNeedCvt) {
-  Physical plan = CompileText("/descendant::a[child::b][position() = 2]");
+TEST(LowerTest, UniformCvtPathIsOneCvtSegment) {
+  Physical plan = CompileText(
+      "/descendant::a[child::b][position() = 2]/child::c[position() = 1]");
   EXPECT_EQ(plan.steps[0].route, Route::kCvt);
-  EXPECT_FALSE(plan.staged) << "uniform CVT => whole-query dispatch";
-  EXPECT_EQ(plan.route_label, "cvt-lazy");
+  EXPECT_FALSE(plan.steps[0].core_predicates);
+  ASSERT_EQ(plan.branches.size(), 1u);
+  EXPECT_EQ(Shape(plan.branches[0]),
+            (std::vector<std::tuple<Route, int, int>>{{Route::kCvt, 0, 2}}));
+  EXPECT_EQ(plan.route_label, "cvt");
 }
 
-TEST(ClassifyOpsTest, ScalarRootsKeepWholeQueryDispatch) {
-  Physical plan = CompileText("count(/descendant::a[position() = 2])");
-  EXPECT_FALSE(plan.staged);
-  EXPECT_EQ(plan.choice, Route::kCvt);
+TEST(LowerTest, ScalarRootIsOneWholeExpressionCvtSegment) {
+  for (const char* text : {"count(/descendant::a[position() = 2])",
+                           "string(/descendant::a) = 'x'"}) {
+    Physical plan = CompileText(text);
+    ASSERT_EQ(plan.branches.size(), 1u) << text;
+    EXPECT_EQ(plan.branches[0].path, nullptr) << text;
+    EXPECT_EQ(Shape(plan.branches[0]),
+              (std::vector<std::tuple<Route, int, int>>{{Route::kCvt, 0, 0}}))
+        << text;
+    EXPECT_EQ(plan.route_label, "cvt") << text;
+  }
 }
 
 TEST(LowerTest, UnionBranchesLowerIndependently) {
   Physical plan =
       CompileText("/descendant::a[position() = 2]/child::b | /child::c");
-  EXPECT_TRUE(plan.staged);
   ASSERT_EQ(plan.branches.size(), 2u);
   ASSERT_EQ(plan.branches[0].segments.size(), 2u);
   EXPECT_EQ(plan.branches[0].segments[0].route, Route::kCvt);
@@ -117,12 +157,44 @@ TEST(LowerTest, UnionBranchesLowerIndependently) {
   ASSERT_EQ(plan.branches[1].segments.size(), 1u);
   EXPECT_EQ(plan.branches[1].segments[0].route, Route::kPfFrontier);
   EXPECT_EQ(plan.route_label, "cvt+pf-frontier");
+
+  // Bitset-only branches: the label names the one engine that runs them.
+  Physical bitset = CompileText("/descendant::a | /descendant::b[child::c]");
+  ASSERT_EQ(bitset.branches.size(), 2u);
+  EXPECT_EQ(bitset.branches[0].segments[0].route, Route::kPfFrontier);
+  EXPECT_EQ(bitset.branches[1].segments[0].route, Route::kCoreLinear);
+  EXPECT_EQ(bitset.route_label, "core-linear");
+}
+
+TEST(LowerTest, DemotionSeesTheFusedBitsetRun) {
+  // One bitset step between two cvt segments costs more in boundaries
+  // than it saves: it runs on the cvt engine.
+  Physical short_run = CompileText(
+      "/descendant::a[position() = 1]/child::b[child::c]"
+      "/child::d[position() = 1]");
+  ASSERT_EQ(short_run.branches.size(), 1u);
+  EXPECT_EQ(Shape(short_run.branches[0]),
+            (std::vector<std::tuple<Route, int, int>>{{Route::kCvt, 0, 3}}));
+  EXPECT_EQ(short_run.route_label, "cvt");
+
+  // A predicate-free step and a Core step fuse into a two-step run first,
+  // which is past the demotion bound and keeps its sweep.
+  Physical long_run = CompileText(
+      "/descendant::a[position() = 1]/child::b/child::c[child::e]"
+      "/child::d[position() = 1]");
+  ASSERT_GE(kDefaultCostModel.max_demoted_steps(), 1);
+  ASSERT_LT(kDefaultCostModel.max_demoted_steps(), 2);
+  EXPECT_EQ(Shape(long_run.branches[0]),
+            (std::vector<std::tuple<Route, int, int>>{{Route::kCvt, 0, 1},
+                                                      {Route::kCoreLinear, 1, 3},
+                                                      {Route::kCvt, 3, 4}}));
+  EXPECT_EQ(long_run.route_label, "cvt+core-linear+cvt");
 }
 
 // ------------------------------------------------------------------ exec
 
-/// Hybrid execution vs the naive oracle on the plan's own (normalized)
-/// query — byte-identical node sets required.
+/// Plan execution vs the naive oracle on the plan's own (normalized)
+/// query — byte-identical values required.
 void ExpectStagedMatchesNaive(const xml::Document& doc, const Physical& plan,
                               const eval::Context& ctx) {
   eval::NaiveEvaluator naive;
@@ -152,6 +224,12 @@ TEST(ExecTest, MaterializationBoundariesPreserveSemantics) {
       "/descendant::t0/child::t1[position() > 1][position() = 1]/self::t1",
       // union of a hybrid branch and a plain branch.
       "/descendant::t0[position() = 2]/child::t1 | /descendant::t2",
+      // uniform plans: one bitset run, one cvt run, a scalar root, "/".
+      "/descendant::t0/child::t1/descendant::t2",
+      "/descendant::t0[not(child::t1)]/child::t2",
+      "/descendant::t0[position() = 1]/child::t1[position() = last()]",
+      "count(/descendant::t0[position() = 2]/child::t1) + 1",
+      "/",
   };
   Rng rng(515);
   xml::RandomDocumentOptions options;
@@ -161,7 +239,6 @@ TEST(ExecTest, MaterializationBoundariesPreserveSemantics) {
     xml::Document doc = xml::RandomDocument(&rng, options);
     for (const char* text : queries) {
       Physical plan = CompileText(text);
-      ASSERT_TRUE(plan.staged) << text;
       ExpectStagedMatchesNaive(doc, plan, eval::RootContext(doc));
     }
   }
@@ -173,10 +250,13 @@ TEST(ExecTest, RelativePlansRespectTheContextNode) {
   options.node_count = 40;
   options.tag_alphabet = 2;
   xml::Document doc = xml::RandomDocument(&rng, options);
-  Physical plan = CompileText("child::t0[position() = 2]/descendant::t1");
-  ASSERT_TRUE(plan.staged);
-  for (xml::NodeId start = 0; start < doc.size(); ++start) {
-    ExpectStagedMatchesNaive(doc, plan, eval::Context{start, 1, 1});
+  for (const char* text : {"child::t0[position() = 2]/descendant::t1",
+                           "child::t0/descendant::t1[child::t0]",
+                           "count(child::t0[position() = 1]/child::t1)"}) {
+    Physical plan = CompileText(text);
+    for (xml::NodeId start = 0; start < doc.size(); ++start) {
+      ExpectStagedMatchesNaive(doc, plan, eval::Context{start, 1, 1});
+    }
   }
 }
 

@@ -210,7 +210,7 @@ TEST(PlanCacheTest, RepeatLookupsHitWithoutReparsing) {
   PlanCache::Counters counters = cache.counters();
   EXPECT_EQ(counters.misses, 1);
   EXPECT_EQ(counters.hits, 1);
-  EXPECT_EQ((*first)->evaluator_name(), "core-linear");
+  EXPECT_EQ((*first)->route_label, "core-linear");
 }
 
 TEST(PlanCacheTest, EquivalentSpellingsShareOnePlan) {
@@ -486,7 +486,13 @@ TEST(QueryServiceTest, StatsTrackEvaluatorsAndDocuments) {
   EXPECT_EQ(stats.documents, 3u);
   EXPECT_EQ(stats.evaluator_counts["pf-indexed"], 1);
   EXPECT_EQ(stats.evaluator_counts["core-linear"], 1);
-  EXPECT_EQ(stats.evaluator_counts["cvt-lazy"], 1);
+  EXPECT_EQ(stats.evaluator_counts["cvt"], 1);
+  // One segment each; all but the index fast path ran on the executor.
+  EXPECT_EQ(stats.segment_route_counts["pf-indexed"], 1);
+  EXPECT_EQ(stats.segment_route_counts["core-linear"], 1);
+  EXPECT_EQ(stats.segment_route_counts["cvt"], 1);
+  EXPECT_EQ(stats.staged_segments, 2);
+  EXPECT_EQ(stats.exec_sequential_segments, 2);
   EXPECT_EQ(stats.latency.count, 3);
   EXPECT_GE(stats.latency.max_ms, 0.0);
 }
@@ -507,16 +513,6 @@ TEST(QueryServiceTest, PessimizedSpellingRunsCanonicalPlan) {
   PlanCache::Counters counters = service.plan_cache().counters();
   EXPECT_EQ(counters.misses, 1);  // one compile serves both spellings
   EXPECT_EQ(counters.hits, 1);    // the canonical text raw-hit the entry
-}
-
-TEST(QueryServiceTest, FastPathCanBeDisabled) {
-  QueryService::Options options;
-  options.indexed_fast_path = false;
-  QueryService service(options);
-  ASSERT_TRUE(service.RegisterXml("a", kDocA).ok());
-  auto answer = service.Submit("a", "/descendant::a/child::b");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->evaluator, "pf-frontier");
 }
 
 }  // namespace

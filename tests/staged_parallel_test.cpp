@@ -1,5 +1,5 @@
-// Differential suite for intra-query parallel staged execution: the same
-// staged plan run with workers ∈ {1, 2, 4, 8} — thresholds forced to 1 so
+// Differential suite for intra-query parallel plan execution: the same
+// plan run with workers ∈ {1, 2, 4, 8} — thresholds forced to 1 so
 // even tiny documents exercise the partitioned sweeps and the concurrent
 // per-origin cvt loop — must produce byte-identical node sets, and the
 // ExecStats buckets must reconcile exactly against the plan's segment
@@ -23,19 +23,25 @@ namespace gkx::plan {
 namespace {
 
 using eval::Engine;
-using eval::NodeSet;
 using xml::Document;
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 
-/// Segment count of a staged plan — what the ExecStats buckets must sum to
-/// after exactly one ExecuteStaged call.
+/// Segment count of a plan — what the ExecStats buckets must sum to after
+/// exactly one ExecuteStaged call.
 int64_t SegmentCount(const Physical& plan) {
   int64_t total = 0;
   for (const BranchProgram& branch : plan.branches) {
     total += static_cast<int64_t>(branch.segments.size());
   }
   return total;
+}
+
+/// Whether the plan mixes cvt and bitset segments (a hybrid plan): Lower
+/// fuses same-engine neighbours in the route label, so exactly the mixed
+/// plans have a '+' in it.
+bool IsHybrid(const Physical& plan) {
+  return plan.route_label.find('+') != std::string::npos;
 }
 
 int64_t BucketSum(const ExecStats& stats) {
@@ -45,16 +51,15 @@ int64_t BucketSum(const ExecStats& stats) {
 }
 
 /// Runs `plan` sequentially and at every worker count with forced
-/// thresholds, asserting byte-identical node sets and exact stats
+/// thresholds, asserting byte-identical values and exact stats
 /// reconciliation at each setting.
 void ExpectParallelAgreement(const Document& doc, const Physical& plan,
                              const std::string& label) {
-  ASSERT_TRUE(plan.staged) << label;
   const eval::Context ctx = eval::RootContext(doc);
 
   auto sequential = ExecuteStaged(doc, plan, ctx);
   ASSERT_TRUE(sequential.ok()) << label << ": " << sequential.status().ToString();
-  const NodeSet& expected = sequential->nodes();
+  const eval::Value& expected = *sequential;
 
   for (int workers : kWorkerCounts) {
     ExecOptions opts;
@@ -68,7 +73,7 @@ void ExpectParallelAgreement(const Document& doc, const Physical& plan,
     ASSERT_TRUE(parallel.ok())
         << label << " workers=" << workers << ": "
         << parallel.status().ToString();
-    EXPECT_EQ(parallel->nodes(), expected)
+    EXPECT_TRUE(parallel->Equals(expected))
         << label << " workers=" << workers
         << ": parallel answer diverged from sequential";
     // Every dispatched segment lands in exactly one bucket, and the trace
@@ -94,7 +99,7 @@ Document DeepDocument(uint64_t seed, int32_t nodes, double chain_bias) {
 }
 
 // The hybrid corpus: PF-routable spines with one non-Core predicate, the
-// exact shape BENCH_fragments measures. Each compiles to a staged plan with
+// exact shape BENCH_fragments measures. Each compiles to a hybrid plan with
 // bitset segments flanking a cvt segment.
 const char* kHybridQueries[] = {
     "/descendant::t0/descendant::t1/descendant::t2/child::t3"
@@ -111,7 +116,6 @@ TEST(StagedParallelTest, HybridPlansByteIdenticalAcrossWorkerCounts) {
   for (const char* text : kHybridQueries) {
     auto plan = Engine::Compile(text);
     ASSERT_TRUE(plan.ok()) << text;
-    if (!plan->staged) continue;  // cost model may demote tiny sandwiches
     ExpectParallelAgreement(doc, *plan, text);
   }
 }
@@ -131,7 +135,6 @@ TEST(StagedParallelTest, DocumentShapeSweep) {
     for (const char* text : kHybridQueries) {
       auto plan = Engine::Compile(text);
       ASSERT_TRUE(plan.ok()) << text;
-      if (!plan->staged) continue;
       ExpectParallelAgreement(
           doc, *plan,
           std::string(text) + " @nodes=" + std::to_string(shape.nodes));
@@ -140,8 +143,8 @@ TEST(StagedParallelTest, DocumentShapeSweep) {
 }
 
 TEST(StagedParallelTest, RandomCoreQueriesThroughEngineFacade) {
-  // Engine-level coverage: set_exec_options must flow into both staged
-  // execution and the uniform bitset dispatches without changing answers.
+  // Engine-level coverage: set_exec_options must flow into every plan's
+  // execution without changing answers.
   const Document doc = DeepDocument(99, 800, 0.6);
   Rng rng(20260807);
   xpath::RandomQueryOptions qopts;
@@ -176,35 +179,34 @@ TEST(StagedParallelTest, RandomCoreQueriesThroughEngineFacade) {
         EXPECT_EQ(actual->value.nodes(), expected->value.nodes())
             << text << " workers=" << workers;
       }
-      if (plan.staged) {
-        EXPECT_EQ(BucketSum(stats), SegmentCount(plan))
-            << text << " workers=" << workers;
-      }
+      EXPECT_EQ(BucketSum(stats), SegmentCount(plan))
+          << text << " workers=" << workers;
     }
   }
 }
 
 TEST(StagedParallelTest, MixedFragmentRandomQueriesStayIdentical) {
-  // Arithmetic-fragment queries route (partly or wholly) through cvt; the
-  // staged ones exercise the concurrent memo under forced chunking.
+  // Arithmetic-fragment queries route (partly or wholly) through cvt; every
+  // plan, scalar roots included, runs the differential, and the hybrid ones
+  // exercise the concurrent memo between bitset seams under forced
+  // chunking.
   const Document doc = DeepDocument(123, 600, 0.75);
   Rng rng(5150);
   xpath::RandomQueryOptions qopts;
   qopts.fragment = xpath::Fragment::kFullXPath;
   qopts.max_condition_depth = 2;
 
-  int staged_seen = 0;
+  int hybrid_seen = 0;
   for (int trial = 0; trial < 60; ++trial) {
     xpath::Query query = xpath::RandomQuery(&rng, qopts);
     const std::string text = xpath::ToXPathString(query);
     Engine::Plan plan = Engine::CompileParsed(std::move(query));
-    if (!plan.staged) continue;
-    ++staged_seen;
+    if (IsHybrid(plan)) ++hybrid_seen;
     ExpectParallelAgreement(doc, plan, text);
   }
-  // The generator mix must actually produce staged plans, or this test
-  // silently pins nothing.
-  EXPECT_GT(staged_seen, 0);
+  // The generator mix must actually produce hybrid plans, or the seams
+  // under concurrency go unpinned.
+  EXPECT_GT(hybrid_seen, 0);
 }
 
 TEST(StagedParallelTest, WorkersWithoutPoolFallBackToSharedPool) {
@@ -213,7 +215,7 @@ TEST(StagedParallelTest, WorkersWithoutPoolFallBackToSharedPool) {
   const Document doc = DeepDocument(31337, 1024, 0.8);
   auto plan = Engine::Compile(kHybridQueries[0]);
   ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan->staged);
+  ASSERT_TRUE(IsHybrid(*plan));
   const eval::Context ctx = eval::RootContext(doc);
 
   auto sequential = ExecuteStaged(doc, *plan, ctx);
@@ -235,7 +237,7 @@ TEST(StagedParallelTest, DefaultThresholdsKeepSmallDocumentsSequential) {
   ASSERT_LT(doc.size(), kDefaultCostModel.min_parallel_nodes);
   auto plan = Engine::Compile(kHybridQueries[0]);
   ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan->staged);
+  ASSERT_TRUE(IsHybrid(*plan));
 
   ExecOptions opts;
   opts.pool = &ThreadPool::Shared();

@@ -1,9 +1,10 @@
 // CI schema check for QueryService::ExportStats(kJson) dumps (the
 // "gkx-stats-v1" document bench_soak writes via --stats-json=). Parses the
 // file back through obs::json, requires every top-level section the schema
-// promises, and re-proves the reconciliation invariant offline: when
-// tracing was active, the per-route histogram counts must sum to the
-// per-segment route counters exactly.
+// promises, and re-proves the reconciliation invariants offline: the
+// segment executor's buckets and segment counter add up to the per-route
+// segment counters, and, when tracing was active, the per-route histogram
+// counts sum to those counters exactly.
 //
 //   ./check_stats_json BENCH_soak_stats.json
 //
@@ -23,6 +24,46 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "check_stats_json: %s\n", message.c_str());
   return 1;
+}
+
+/// Segment-executor dispatch accounting, offline, for one stats document
+/// (the aggregate or one shards[] entry). Every segment a successful run
+/// dispatched landed in exactly one bucket, so the three buckets sum to the
+/// executor's segment counter — for sequential and parallel
+/// (exec.workers > 1) services alike. And every evaluated request but the
+/// index fast path ran on the executor, so its segments plus the
+/// "pf-indexed" ones are all segments dispatched. Returns "" when both
+/// identities hold.
+std::string CheckSegmentAccounting(const gkx::obs::json::Value& doc) {
+  for (const char* path :
+       {"exec.staged_segments", "exec.parallel_segments",
+        "exec.sequential_segments", "exec.skipped_segments"}) {
+    if (doc.FindPath(path) == nullptr) {
+      return std::string("missing field \"") + path + "\"";
+    }
+  }
+  const auto* segments = doc.Find("segment_route_counts");
+  if (segments == nullptr) return "missing section \"segment_route_counts\"";
+  const double staged = doc.FindPath("exec.staged_segments")->AsNumber();
+  const double exec_buckets =
+      doc.FindPath("exec.parallel_segments")->AsNumber() +
+      doc.FindPath("exec.sequential_segments")->AsNumber() +
+      doc.FindPath("exec.skipped_segments")->AsNumber();
+  if (exec_buckets != staged) {
+    return "exec.parallel_segments + exec.sequential_segments + "
+           "exec.skipped_segments != exec.staged_segments";
+  }
+  double segment_total = 0.0;
+  for (const auto& [label, count] : segments->members()) {
+    segment_total += count.AsNumber();
+  }
+  const auto* indexed = segments->Find("pf-indexed");
+  if (staged + (indexed != nullptr ? indexed->AsNumber() : 0.0) !=
+      segment_total) {
+    return "exec.staged_segments + segment_route_counts.pf-indexed != "
+           "sum(segment_route_counts.*)";
+  }
+  return "";
 }
 
 }  // namespace
@@ -76,27 +117,8 @@ int main(int argc, char** argv) {
     return Fail("latency_ms.count != service.requests - service.failures");
   }
 
-  // Staged-executor dispatch accounting, offline: every segment a
-  // successful staged run dispatched landed in exactly one bucket, so the
-  // three buckets must sum to the staged-segment counter — for sequential
-  // and parallel (exec.workers > 1) services alike.
-  for (const char* path :
-       {"exec.staged_segments", "exec.parallel_segments",
-        "exec.sequential_segments", "exec.skipped_segments"}) {
-    if (root.FindPath(path) == nullptr) {
-      return Fail(std::string("missing field \"") + path + "\"");
-    }
-  }
-  const double staged = root.FindPath("exec.staged_segments")->AsNumber();
-  const double exec_buckets =
-      root.FindPath("exec.parallel_segments")->AsNumber() +
-      root.FindPath("exec.sequential_segments")->AsNumber() +
-      root.FindPath("exec.skipped_segments")->AsNumber();
-  if (exec_buckets != staged) {
-    return Fail(
-        "exec.parallel_segments + exec.sequential_segments + "
-        "exec.skipped_segments != exec.staged_segments");
-  }
+  const std::string segments_error = CheckSegmentAccounting(root);
+  if (!segments_error.empty()) return Fail(segments_error);
 
   // Route-histogram reconciliation, offline: with tracing active since
   // construction, each route's histogram count equals its segment counter
@@ -196,10 +218,9 @@ int main(int argc, char** argv) {
       shard_failures += shard.FindPath("service.failures")->AsNumber();
       shard_documents += shard.FindPath("service.documents")->AsNumber();
       shard_latency += shard.FindPath("latency_ms.count")->AsNumber();
+      const std::string shard_error = CheckSegmentAccounting(shard);
+      if (!shard_error.empty()) return Fail("shards[] entry: " + shard_error);
       const auto* segments = shard.Find("segment_route_counts");
-      if (segments == nullptr) {
-        return Fail("shards[] entry missing \"segment_route_counts\"");
-      }
       for (const auto& [label, count] : segments->members()) {
         shard_segments[label] += count.AsNumber();
       }
