@@ -10,11 +10,18 @@
 //     traced path out entirely; this binary then measures off vs off and
 //     the ratio pins the escape hatch at ~1.0.
 // The acceptance bar, self-checked below: traced throughput >= 95% of
-// untraced (tracing costs < 5%). Best-of-N rounds per mode so scheduler
-// noise doesn't fail the bar on a loaded machine.
+// untraced (tracing costs < 5%). Both services are built up front and
+// their rounds alternate (off/on, then on/off), each timed in the calling
+// thread's CPU time — the batch runs inline (batch_workers = 1), so that
+// clock holds all of its work and none of the scheduler's — and the bar
+// holds on the median of the per-pair ratios, so drift across the run
+// (frequency, a neighbour's load) hits both sides of each pair alike.
+
+#include <time.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,87 +67,112 @@ std::vector<service::QueryService::Request> MakeRequests() {
   return requests;
 }
 
-struct ModeResult {
-  double qps = 0.0;       // best round
-  int64_t requests = 0;   // per round
-};
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
-ModeResult RunMode(bool tracing, const char* excerpt_or_null) {
+std::unique_ptr<service::QueryService> MakeService(bool tracing) {
   service::QueryService::Options options;
   options.plan_cache.capacity = 4096;
+  options.batch_workers = 1;  // inline on the timing thread
   options.obs.tracing = tracing;
   options.obs.slow_query_ms = 1e9;  // threshold checks run; nothing logs
-  service::QueryService svc(options);
-  RegisterCorpus(svc);
+  auto svc = std::make_unique<service::QueryService>(options);
+  RegisterCorpus(*svc);
+  return svc;
+}
 
-  const auto requests = MakeRequests();
-  svc.SubmitBatch(requests);  // untimed: warm plan + answer caches
-
-  // Best-of-kRounds: each round serves the whole request set kReps times
-  // from the warm answer cache.
-  const int kRounds = 5;
-  const int kReps = 24;
-  ModeResult result;
-  result.requests =
-      static_cast<int64_t>(requests.size()) * kReps;
-  for (int round = 0; round < kRounds; ++round) {
-    Stopwatch sw;
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (const auto& response : svc.SubmitBatch(requests)) {
-        GKX_CHECK(response.ok());
-      }
+/// One round: the whole request set kReps times from the warm answer
+/// cache; returns requests per thread-CPU second.
+double RoundQps(service::QueryService& svc,
+                const std::vector<service::QueryService::Request>& requests,
+                int reps) {
+  const double start = ThreadCpuSeconds();
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const auto& response : svc.SubmitBatch(requests)) {
+      GKX_CHECK(response.ok());
     }
-    const double qps =
-        static_cast<double>(result.requests) / sw.ElapsedSeconds();
-    result.qps = std::max(result.qps, qps);
   }
+  return static_cast<double>(requests.size()) * reps /
+         (ThreadCpuSeconds() - start);
+}
 
-  if (excerpt_or_null != nullptr) {
-    // A few text-format lines as a README-able sample of the export.
-    const std::string text = svc.ExportStats(service::StatsFormat::kText);
-    std::printf("%s (ExportStats text excerpt):\n", excerpt_or_null);
-    size_t printed = 0, pos = 0;
-    for (const char* want :
-         {"gkx_service_requests ", "gkx_latency_ms_p99 ",
-          "gkx_routes_pf_indexed_count ", "gkx_answer_cache_hits "}) {
-      pos = text.find(want);
-      if (pos == std::string::npos) continue;
-      const size_t end = text.find('\n', pos);
-      std::printf("    %s\n",
-                  text.substr(pos, end - pos).c_str());
-      ++printed;
-    }
-    GKX_CHECK(printed > 0);  // the export really contains these series
+void PrintExcerpt(service::QueryService& svc) {
+  // A few text-format lines as a README-able sample of the export.
+  const std::string text = svc.ExportStats(service::StatsFormat::kText);
+  std::printf("  traced service (ExportStats text excerpt):\n");
+  size_t printed = 0, pos = 0;
+  for (const char* want :
+       {"gkx_service_requests ", "gkx_latency_ms_p99 ",
+        "gkx_routes_pf_indexed_count ", "gkx_answer_cache_hits "}) {
+    pos = text.find(want);
+    if (pos == std::string::npos) continue;
+    const size_t end = text.find('\n', pos);
+    std::printf("    %s\n", text.substr(pos, end - pos).c_str());
+    ++printed;
   }
-  return result;
+  GKX_CHECK(printed > 0);  // the export really contains these series
 }
 
 void Run(bench::JsonReport* json) {
   const bool compiled_out = obs::kCompiledOut;
-  bench::Table table(
-      {"tracing", "requests/round", "best qps", "traced/untraced"});
+  auto off_svc = MakeService(false);
+  auto on_svc = MakeService(true);
+  const auto requests = MakeRequests();
+  off_svc->SubmitBatch(requests);  // untimed: warm plan + answer caches
+  on_svc->SubmitBatch(requests);
 
-  const ModeResult off = RunMode(false, nullptr);
-  const ModeResult on = RunMode(true, "  traced service");
-  const double ratio = on.qps / off.qps;
+  const int kPairs = 21;
+  const int kReps = 24;
+  std::vector<double> off_qps, on_qps, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    // Alternate which side runs first, so neither always follows the other.
+    double off = 0.0, on = 0.0;
+    if (pair % 2 == 0) {
+      off = RoundQps(*off_svc, requests, kReps);
+      on = RoundQps(*on_svc, requests, kReps);
+    } else {
+      on = RoundQps(*on_svc, requests, kReps);
+      off = RoundQps(*off_svc, requests, kReps);
+    }
+    off_qps.push_back(off);
+    on_qps.push_back(on);
+    ratios.push_back(on / off);
+  }
+  PrintExcerpt(*on_svc);
 
-  table.AddRow({"off", bench::Num(off.requests),
-                bench::Num(static_cast<int64_t>(off.qps)), "-"});
+  const double ratio = bench::Median(ratios);
+  std::vector<double> sorted = ratios;
+  std::sort(sorted.begin(), sorted.end());
+  const double q1 = sorted[sorted.size() / 4];
+  const double q3 = sorted[sorted.size() * 3 / 4];
+  const int64_t per_round = static_cast<int64_t>(requests.size()) * kReps;
+
+  bench::Table table({"tracing", "requests/round", "median qps (thread CPU)",
+                      "traced/untraced (median of pairs)"});
+  table.AddRow({"off", bench::Num(per_round),
+                bench::Num(static_cast<int64_t>(bench::Median(off_qps))), "-"});
   table.AddRow({compiled_out ? "on (compiled out)" : "on",
-                bench::Num(on.requests),
-                bench::Num(static_cast<int64_t>(on.qps)),
-                bench::Ratio(ratio, 3)});
+                bench::Num(per_round),
+                bench::Num(static_cast<int64_t>(bench::Median(on_qps))),
+                bench::Ratio(ratio, 3) + " [q1 " + bench::Ratio(q1, 3) +
+                    ", q3 " + bench::Ratio(q3, 3) + "]"});
   table.Print();
 
   for (const bool tracing : {false, true}) {
-    const ModeResult& r = tracing ? on : off;
     json->AddRow(
         {{"scenario", bench::JsonStr("obs_overhead_warm")},
          {"tracing", bench::JsonStr(tracing ? "on" : "off")},
          {"compiled_out", bench::JsonNum(compiled_out ? 1.0 : 0.0)},
-         {"requests_per_round", bench::JsonNum(static_cast<double>(r.requests))},
-         {"best_qps", bench::JsonNum(r.qps)},
-         {"traced_over_untraced", bench::JsonNum(tracing ? ratio : 1.0)}});
+         {"requests_per_round", bench::JsonNum(static_cast<double>(per_round))},
+         {"pairs", bench::JsonNum(kPairs)},
+         {"median_qps_thread_cpu",
+          bench::JsonNum(bench::Median(tracing ? on_qps : off_qps))},
+         {"traced_over_untraced", bench::JsonNum(tracing ? ratio : 1.0)},
+         {"traced_over_untraced_q1", bench::JsonNum(tracing ? q1 : 1.0)},
+         {"traced_over_untraced_q3", bench::JsonNum(tracing ? q3 : 1.0)}});
   }
 
   // The acceptance bar: full tracing must cost < 5% on the warm-cache
@@ -157,9 +189,11 @@ int main() {
       "observability context: per-stage timers, per-route histograms and "
       "slow-query checks run inside every Submit; the paper's evaluators "
       "are untouched — this prices the serving layer's bookkeeping",
-      "best-of-5 qps over repeated identical queries with warm plan + "
-      "answer caches, Options::obs.tracing off vs on (expect traced >= "
-      "0.95x untraced; -DGKX_OBS_DISABLED=ON compiles the gap away)");
+      "21 alternating off/on round pairs over repeated identical queries "
+      "with warm plan + answer caches, qps in thread CPU time, "
+      "Options::obs.tracing off vs on (expect the median per-pair ratio "
+      "traced >= 0.95x untraced; -DGKX_OBS_DISABLED=ON compiles the gap "
+      "away)");
   gkx::bench::JsonReport json("obs_overhead", 271);
   gkx::Run(&json);
   json.Write(gkx::bench::RepoRootPath("BENCH_obs_overhead.json"));

@@ -7,6 +7,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -223,6 +224,13 @@ inline std::string Millis(double seconds, int decimals = 3) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, seconds * 1e3);
   return std::string(buf);
+}
+
+/// Median of a non-empty sample.
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 inline std::string Ratio(double value, int decimals = 2) {

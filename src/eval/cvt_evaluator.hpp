@@ -13,7 +13,10 @@
 // context"). Both modes share the semantics kernel of RecursiveEvaluatorBase,
 // so they agree with the naive evaluator by construction; the complexity
 // drops from exponential to polynomial because each (expression, context)
-// pair is computed at most once.
+// pair is computed at most once. Positional predicates that are rank
+// selections (`[k]`, `position() = last()`, `position() op k`) never reach
+// the tables: ApplyStep slices the candidate list by rank, and stops the
+// axis walk at the last rank a step's first predicate can keep.
 
 #ifndef GKX_EVAL_CVT_EVALUATOR_HPP_
 #define GKX_EVAL_CVT_EVALUATOR_HPP_
@@ -64,6 +67,11 @@ class CvtEvaluator : public RecursiveEvaluatorBase {
                   Value* out) override;
   void StoreMemo(const xpath::Expr& expr, const Context& ctx,
                  const Value& value) override;
+  /// Rank selections are classified once per bound query, next to the
+  /// context-dependence traits the tables key on.
+  const xpath::QueryAnalysis* rank_selections() const override {
+    return &analysis_;
+  }
 
  private:
   Options options_{};

@@ -1,5 +1,6 @@
 #include "eval/evaluator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace gkx::eval {
@@ -24,60 +25,6 @@ bool PredicateTruth(const Value& value, const Context& ctx) {
 }
 
 namespace {
-
-/// Static shapes whose survivor set is a pure index selection — the
-/// classic XPath positional fast path. [k], [position() = k], and
-/// [position() = last()] pick one candidate without evaluating anything
-/// per candidate (a predicate eval costs axis-order position bookkeeping
-/// plus an expression walk per candidate; the selection is O(1)).
-/// kNone means "evaluate normally". Semantics are identical by
-/// construction: positions are 1-based ranks in the same candidate order
-/// the per-candidate loop would have used.
-struct PositionalShape {
-  enum Kind { kNone, kIndex, kLast } kind = kNone;
-  int64_t index = 0;  // for kIndex, the 1-based position
-
-  static PositionalShape Of(const xpath::Expr& predicate) {
-    using xpath::Expr;
-    using xpath::Function;
-    using xpath::FunctionCall;
-    if (predicate.kind() == Expr::Kind::kNumberLiteral) {
-      return FromNumber(predicate.As<xpath::NumberLiteral>().value());
-    }
-    if (predicate.kind() != Expr::Kind::kBinary) return {};
-    const auto& binary = predicate.As<xpath::BinaryExpr>();
-    if (binary.op() != xpath::BinaryOp::kEq) return {};
-    const Expr* position = &binary.lhs();
-    const Expr* target = &binary.rhs();
-    if (!IsCall(*position, Function::kPosition)) {
-      std::swap(position, target);
-    }
-    if (!IsCall(*position, Function::kPosition)) return {};
-    if (IsCall(*target, Function::kLast)) {
-      return PositionalShape{kLast, 0};
-    }
-    if (target->kind() == Expr::Kind::kNumberLiteral) {
-      return FromNumber(target->As<xpath::NumberLiteral>().value());
-    }
-    return {};
-  }
-
- private:
-  static bool IsCall(const xpath::Expr& expr, xpath::Function fn) {
-    return expr.kind() == xpath::Expr::Kind::kFunctionCall &&
-           expr.As<xpath::FunctionCall>().function() == fn &&
-           expr.As<xpath::FunctionCall>().arg_count() == 0;
-  }
-  static PositionalShape FromNumber(double value) {
-    const auto index = static_cast<int64_t>(value);
-    // Non-integral or non-positive positions match nothing; an empty
-    // selection falls out of the out-of-range check at the use site.
-    if (static_cast<double>(index) != value || index < 1) {
-      return PositionalShape{kIndex, 0};
-    }
-    return PositionalShape{kIndex, index};
-  }
-};
 
 /// Recycled candidate buffers for ApplyStep. The per-origin cvt loop calls
 /// ApplyStep once per origin — on a frontier of thousands of origins the
@@ -106,11 +53,27 @@ void RecycleBuffer(std::vector<xml::NodeId>&& buffer) {
   BufferPool().push_back(std::move(buffer));
 }
 
+/// Keeps the candidates whose 1-based rank `rank` selects.
+void SliceByRank(const xpath::RankSelection& rank,
+                 std::vector<xml::NodeId>* candidates) {
+  const auto size = static_cast<int64_t>(candidates->size());
+  const int64_t lo = rank.last ? size : rank.lo;
+  const int64_t hi = rank.last ? size : std::min(rank.hi, size);
+  if (lo > hi) {
+    candidates->clear();
+    return;
+  }
+  candidates->resize(static_cast<size_t>(hi));
+  candidates->erase(candidates->begin(),
+                    candidates->begin() + static_cast<ptrdiff_t>(lo - 1));
+}
+
 }  // namespace
 
 Status ApplyStep(const xml::Document& doc, const xpath::Step& step,
                  const ResolvedTest& test, xml::NodeId origin,
                  const PredicateFn& eval_predicate,
+                 const xpath::QueryAnalysis* ranks,
                  std::vector<xml::NodeId>* out) {
   // Predicate-free steps never need the candidate list at all: survivors
   // are exactly the test-passing axis nodes, streamed straight into `out`
@@ -122,23 +85,28 @@ Status ApplyStep(const xml::Document& doc, const xpath::Step& step,
     });
     return Status::Ok();
   }
+  auto rank_of = [ranks](const xpath::Expr& predicate) {
+    return ranks != nullptr ? ranks->traits(predicate).rank
+                            : xpath::RankSelection{};
+  };
+  // ForEachOnAxis walks in axis order, reverse axes included, so when the
+  // first predicate keeps ranks <= hi only the first hi candidates matter.
+  int64_t limit = xpath::RankSelection::kUnbounded;
+  const xpath::RankSelection first = rank_of(*step.predicates.front());
+  if (first.active && !first.last) {
+    if (first.lo > first.hi) return Status::Ok();
+    limit = first.hi;
+  }
   std::vector<xml::NodeId> candidates = AcquireBuffer();
   ForEachOnAxis(doc, origin, step.axis, [&](xml::NodeId v) {
     if (test.Matches(doc, v)) candidates.push_back(v);
-    return true;
+    return static_cast<int64_t>(candidates.size()) < limit;
   });
   for (const xpath::ExprPtr& predicate : step.predicates) {
     if (candidates.empty()) break;
-    const PositionalShape positional = PositionalShape::Of(*predicate);
-    if (positional.kind != PositionalShape::kNone) {
-      const auto size = static_cast<int64_t>(candidates.size());
-      const int64_t index =
-          positional.kind == PositionalShape::kLast ? size : positional.index;
-      if (index < 1 || index > size) {
-        candidates.clear();
-      } else {
-        candidates.assign(1, candidates[static_cast<size_t>(index - 1)]);
-      }
+    const xpath::RankSelection rank = rank_of(*predicate);
+    if (rank.active) {
+      SliceByRank(rank, &candidates);
       continue;
     }
     std::vector<xml::NodeId> survivors = AcquireBuffer();

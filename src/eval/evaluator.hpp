@@ -2,8 +2,8 @@
 // (naive, context-value-table, Core-XPath-linear, NAuxPDA, parallel), plus
 // the step-application machinery common to the recursive engines: axis
 // enumeration in axis order, predicate chains with position re-ranking
-// between iterated predicates, and the numeric-predicate coercion
-// ([2] == [position()=2]).
+// between iterated predicates, the numeric-predicate coercion
+// ([2] == [position()=2]), and rank selections applied as slices.
 
 #ifndef GKX_EVAL_EVALUATOR_HPP_
 #define GKX_EVAL_EVALUATOR_HPP_
@@ -16,6 +16,7 @@
 #include "eval/axes.hpp"
 #include "eval/context.hpp"
 #include "eval/value.hpp"
+#include "xpath/analysis.hpp"
 #include "xpath/ast.hpp"
 
 namespace gkx::eval {
@@ -58,9 +59,17 @@ using PredicateFn =
 /// in axis order, filters through the predicate chain (positions re-ranked
 /// among survivors between consecutive predicates), and appends the
 /// survivors to *out in axis order.
+///
+/// `ranks`, when given, is the analysis of the query `step` belongs to:
+/// every predicate its traits mark as a rank selection is applied as a
+/// slice of the candidate list by index, with no predicate evaluation, and
+/// when the step's first predicate bounds the rank from above the axis
+/// walk stops after that many candidates. nullptr evaluates every
+/// predicate per candidate over the whole axis — the spec-literal reading.
 Status ApplyStep(const xml::Document& doc, const xpath::Step& step,
                  const ResolvedTest& test, xml::NodeId origin,
                  const PredicateFn& eval_predicate,
+                 const xpath::QueryAnalysis* ranks,
                  std::vector<xml::NodeId>* out);
 
 }  // namespace gkx::eval

@@ -50,7 +50,7 @@ Status RecursiveEvaluatorBase::ApplyBoundStep(const xpath::Step& step,
     return PredicateTruth(*value, ctx);
   };
   return ApplyStep(*doc_, step, tests_[static_cast<size_t>(step.id)], origin,
-                   eval_predicate, out);
+                   eval_predicate, rank_selections(), out);
 }
 
 bool RecursiveEvaluatorBase::LookupMemo(const Expr&, const Context&, Value*) {
@@ -353,13 +353,14 @@ Result<NodeSet> RecursiveEvaluatorBase::EvalPathFrom(const PathExpr& path,
     if (!value.ok()) return value.status();
     return PredicateTruth(*value, ctx);
   };
+  const xpath::QueryAnalysis* ranks = rank_selections();
   for (size_t s = 0; s < path.step_count(); ++s) {
     const xpath::Step& step = path.step(s);
     NodeSet next;
     for (xml::NodeId x : current) {
       GKX_RETURN_IF_ERROR(ApplyStep(doc(), step,
                                     tests_[static_cast<size_t>(step.id)], x,
-                                    eval_predicate, &next));
+                                    eval_predicate, ranks, &next));
     }
     SortUnique(&next);
     current = std::move(next);

@@ -51,6 +51,14 @@ class RecursiveEvaluatorBase : public Evaluator {
   /// expression is evaluated. Subclasses set up tables / eager prepasses.
   virtual Status Prepare();
 
+  /// The bound query's analysis when this engine applies rank selections
+  /// as slices with an early-stopping axis walk (see ApplyStep); the base
+  /// returns nullptr, so every predicate is evaluated per candidate over
+  /// the whole axis, as the spec reads.
+  virtual const xpath::QueryAnalysis* rank_selections() const {
+    return nullptr;
+  }
+
   /// Recursive evaluation (memoized via the hooks).
   Result<Value> Eval(const xpath::Expr& expr, const Context& ctx);
 
@@ -75,7 +83,8 @@ class RecursiveEvaluatorBase : public Evaluator {
 };
 
 /// The direct spec-reading evaluator (no memoization; exponential combined
-/// complexity on nested conditions).
+/// complexity on nested conditions; every predicate, positional ones
+/// included, evaluated per candidate).
 class NaiveEvaluator : public RecursiveEvaluatorBase {
  public:
   std::string_view name() const override { return "naive"; }

@@ -43,11 +43,17 @@ struct CostModel {
   double boundary = 1.9;     // one NodeBitset⇄NodeSet conversion
   double cvt_step = 3.4;     // one per-origin cvt step, mid-plan frontier
 
-  /// Smallest document for which partitioned bitset sweeps beat one thread
-  /// (fork/join ≈ a few µs; a 4k-node sweep is ~0.5µs/word-pass).
-  int32_t min_parallel_nodes = 4096;
-  /// Smallest origin count for which the per-origin cvt loop fans out.
-  int min_parallel_origins = 16;
+  /// Smallest document for which partitioned bitset sweeps run in
+  /// parallel. bench_fig1_fragments measures the crossover: on a 4-core
+  /// host, forced partitioned sweeps lose to one thread up to 128k nodes
+  /// and break even (0.97-1.02x) at 512k, so they start past that.
+  int32_t min_parallel_nodes = 1 << 20;
+  /// Origins per chunk below which the per-origin cvt loop stays on one
+  /// thread (a loop of n origins splits into n / min_parallel_origins
+  /// chunks, at most the worker count). Measured on the same host: forced
+  /// 4-way loops lose at ~480 origins and win (1.1-1.3x) from ~2,000, so
+  /// fan-out starts at 2,048 origins.
+  int min_parallel_origins = 1024;
 
   /// Longest bitset segment worth demoting to cvt when it sits between two
   /// cvt segments: running s steps on the (already bound) cvt engine costs

@@ -1,9 +1,13 @@
 // The independent answer key for a compiled Schedule. The oracle evaluates
 // every (document revision, query) pair the schedule can actually exercise
-// with NaiveEvaluator — the direct spec-reading engine, sharing none of the
-// service path's machinery (no plan cache, no Optimize, no DocumentIndex
-// fast path, no fragment dispatch) — single-threaded, before the concurrent
-// replay starts. Any answer the service produces that matches no live
+// with NaiveEvaluator — the direct spec-reading engine: no plan cache, no
+// Optimize, no DocumentIndex fast path, no fragment dispatch, no memo
+// tables, and no rank-selection slicing (every predicate, positional ones
+// included, is evaluated per candidate over the whole axis) — single-
+// threaded, before the concurrent replay starts. It does share the
+// recursive kernel's axis enumeration (ForEachOnAxis) and value semantics
+// (eval/value.hpp) with the cvt engine, so a fault there is invisible to
+// it; the paper's reductions with known answers cover those. Any answer the service produces that matches no live
 // revision's oracle digest is a semantic divergence.
 //
 // Digests are Value::DebugString() renderings: exact structural equality,

@@ -1,6 +1,8 @@
 #include "xpath/analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 
 namespace gkx::xpath {
 namespace {
@@ -125,6 +127,8 @@ class Analyzer {
             // Steps rebind the context: position()/last() inside a predicate
             // do not leak out, and the predicate sees the step's own nodes.
             Visit(*predicate);
+            analysis_.expr_traits[static_cast<size_t>(predicate->id())].rank =
+                RankSelection::Of(*predicate);
           }
         }
         break;
@@ -235,7 +239,113 @@ int NotDepth(const Expr& expr) {
   return 0;
 }
 
+/// The value of a numeric constant: a number literal, or unary minus and
+/// arithmetic over constants (so `-1`, `0 div 0` and `1 div 0` count).
+/// The operations are the evaluator's IEEE double ones.
+std::optional<double> NumericConstant(const Expr& expr) {
+  switch (expr.kind()) {
+    case Expr::Kind::kNumberLiteral:
+      return expr.As<NumberLiteral>().value();
+    case Expr::Kind::kNegate: {
+      auto operand = NumericConstant(expr.As<NegateExpr>().operand());
+      if (!operand) return std::nullopt;
+      return -*operand;
+    }
+    case Expr::Kind::kBinary: {
+      const auto& binary = expr.As<BinaryExpr>();
+      if (!IsArithmeticOp(binary.op())) return std::nullopt;
+      auto lhs = NumericConstant(binary.lhs());
+      if (!lhs) return std::nullopt;
+      auto rhs = NumericConstant(binary.rhs());
+      if (!rhs) return std::nullopt;
+      switch (binary.op()) {
+        case BinaryOp::kAdd: return *lhs + *rhs;
+        case BinaryOp::kSub: return *lhs - *rhs;
+        case BinaryOp::kMul: return *lhs * *rhs;
+        case BinaryOp::kDiv: return *lhs / *rhs;
+        default: return std::fmod(*lhs, *rhs);
+      }
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+bool IsNullaryCall(const Expr& expr, Function function) {
+  return expr.kind() == Expr::Kind::kFunctionCall &&
+         expr.As<FunctionCall>().function() == function &&
+         expr.As<FunctionCall>().arg_count() == 0;
+}
+
+/// The integer ranks r with lo <= r <= hi, from real bounds. Ranks are node
+/// counts, far below 2^53, so a bound past that is no bound; a NaN bound
+/// (every comparison with NaN is false) selects nothing.
+RankSelection RankInterval(double lo, double hi) {
+  constexpr double kRankCeiling = 9007199254740992.0;  // 2^53
+  RankSelection rank;
+  rank.active = true;
+  if (std::isnan(lo) || std::isnan(hi) || lo > kRankCeiling || hi < 1) {
+    rank.hi = 0;  // empty
+    return rank;
+  }
+  rank.lo = lo <= 1 ? 1 : static_cast<int64_t>(lo);
+  rank.hi = hi >= kRankCeiling ? RankSelection::kUnbounded
+                               : static_cast<int64_t>(hi);
+  return rank;
+}
+
+/// position() op c as a rank interval (inactive for ops that are not one
+/// of = < <= > >=).
+RankSelection CompareRank(BinaryOp op, double c) {
+  constexpr double kInf = HUGE_VAL;
+  switch (op) {
+    case BinaryOp::kEq:
+      return std::floor(c) == c ? RankInterval(c, c) : RankInterval(1, 0);
+    case BinaryOp::kLt: return RankInterval(1, std::ceil(c) - 1);
+    case BinaryOp::kLe: return RankInterval(1, std::floor(c));
+    case BinaryOp::kGt: return RankInterval(std::floor(c) + 1, kInf);
+    case BinaryOp::kGe: return RankInterval(std::ceil(c), kInf);
+    default: return {};
+  }
+}
+
+/// c op position() is position() op' c.
+BinaryOp Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt: return BinaryOp::kGt;
+    case BinaryOp::kLe: return BinaryOp::kGe;
+    case BinaryOp::kGt: return BinaryOp::kLt;
+    case BinaryOp::kGe: return BinaryOp::kLe;
+    default: return op;
+  }
+}
+
 }  // namespace
+
+RankSelection RankSelection::Of(const Expr& predicate) {
+  // [c]: a numeric predicate is the position test position() = c.
+  if (auto c = NumericConstant(predicate)) {
+    return CompareRank(BinaryOp::kEq, *c);
+  }
+  if (predicate.kind() != Expr::Kind::kBinary) return {};
+  const auto& binary = predicate.As<BinaryExpr>();
+  BinaryOp op = binary.op();
+  const Expr* bound = &binary.rhs();
+  if (!IsNullaryCall(binary.lhs(), Function::kPosition)) {
+    if (!IsNullaryCall(binary.rhs(), Function::kPosition)) return {};
+    bound = &binary.lhs();
+    op = Mirror(op);
+  }
+  if (op == BinaryOp::kEq && IsNullaryCall(*bound, Function::kLast)) {
+    RankSelection rank;
+    rank.active = true;
+    rank.last = true;
+    return rank;
+  }
+  auto c = NumericConstant(*bound);
+  if (!c) return {};
+  return CompareRank(op, *c);
+}
 
 QueryAnalysis Analyze(const Query& query) {
   Analyzer analyzer(query);

@@ -7,6 +7,8 @@
 #define GKX_XPATH_ANALYSIS_HPP_
 
 #include <array>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -22,12 +24,36 @@ enum class ContextDependence {
   kFull,  // uses position() and/or last() free of any step rebinding
 };
 
+/// A step predicate that keeps candidates by rank alone, so it can be
+/// applied as a slice of the candidate list (Lemma 5.4's position tests,
+/// with no per-candidate evaluation). `[c]`, `position() = last()` and
+/// `position() op c` — op one of = < <= > >=, c a numeric constant, on
+/// either side — keep exactly the candidates whose 1-based rank lies in
+/// [lo, hi], derived as XPath's double comparison decides it: fractional,
+/// non-positive, NaN and infinite constants give the exact (possibly
+/// empty) integer interval. `!=` and every other predicate are not rank
+/// selections and evaluate per candidate.
+struct RankSelection {
+  static constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max();
+
+  bool active = false;  // false: not a rank selection
+  bool last = false;    // position() = last(): the final candidate only
+  int64_t lo = 1;
+  int64_t hi = kUnbounded;  // lo > hi: selects nothing
+
+  /// Classifies a predicate expression (inactive if it is not one of the
+  /// shapes above).
+  static RankSelection Of(const Expr& predicate);
+};
+
 /// Per-expression traits, indexed by Expr::id().
 struct ExprTraits {
   ContextDependence dependence = ContextDependence::kNone;
   ValueType type = ValueType::kBoolean;
   bool uses_position = false;  // free position() occurrence
   bool uses_last = false;      // free last() occurrence
+  /// Set on step predicates only: the rank selection the predicate is.
+  RankSelection rank;
 };
 
 /// Whole-query syntactic measures.

@@ -1,6 +1,8 @@
 #include "xpath/parser.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,7 +61,39 @@ class Parser {
   }
 
   // Expr := OrExpr
-  Result<ExprPtr> ParseExpr() { return ParseBinary(0); }
+  Result<ExprPtr> ParseExpr() {
+    DepthGuard guard(this);
+    GKX_RETURN_IF_ERROR(guard.status());
+    return ParseBinary(0);
+  }
+
+  // Bounds the recursion through nested sub-expressions: every nesting
+  // construct re-enters through ParseExpr or ParseUnary.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser* parser) : parser_(parser) { ++parser_->depth_; }
+    ~DepthGuard() { --parser_->depth_; }
+    Status status() const {
+      return parser_->depth_ > kMaxNestingDepth ? parser_->TooDeep()
+                                                : Status::Ok();
+    }
+
+   private:
+    Parser* parser_;
+  };
+
+  Status TooDeep() const {
+    return Error("expression nested deeper than " +
+                 std::to_string(kMaxNestingDepth) + " levels")
+        .status();
+  }
+
+  // Records the height of the expression a production just built (see
+  // kMaxNestingDepth): `height` above its deepest operand's.
+  Status SetHeight(int height) {
+    height_ = height;
+    return height_ > kMaxNestingDepth ? TooDeep() : Status::Ok();
+  }
 
   // Precedence-climbing over the binary operator levels.
   // level: 0=or 1=and 2=equality 3=relational 4=additive 5=multiplicative
@@ -70,8 +104,11 @@ class Parser {
     while (true) {
       BinaryOp op;
       if (!MatchOperator(level, &op)) return lhs;
+      const int lhs_height = height_;
       ExprPtr rhs;
       GKX_ASSIGN_OR_RETURN(rhs, ParseBinary(level + 1));
+      // Left-associative chains deepen the tree without recursing here.
+      GKX_RETURN_IF_ERROR(SetHeight(std::max(lhs_height, height_) + 1));
       lhs = build::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
@@ -114,8 +151,11 @@ class Parser {
   // UnaryExpr := '-' UnaryExpr | UnionExpr
   Result<ExprPtr> ParseUnary() {
     if (Match(TokenKind::kMinus)) {
+      DepthGuard guard(this);
+      GKX_RETURN_IF_ERROR(guard.status());
       ExprPtr operand;
       GKX_ASSIGN_OR_RETURN(operand, ParseUnary());
+      GKX_RETURN_IF_ERROR(SetHeight(height_ + 1));
       return ExprPtr(build::Negate(std::move(operand)));
     }
     return ParseUnion();
@@ -128,11 +168,14 @@ class Parser {
     if (Peek().kind != TokenKind::kPipe) return first;
     std::vector<ExprPtr> branches;
     branches.push_back(std::move(first));
+    int height = height_;
     while (Match(TokenKind::kPipe)) {
       ExprPtr next;
       GKX_ASSIGN_OR_RETURN(next, ParsePathOrPrimary());
       branches.push_back(std::move(next));
+      height = std::max(height, height_);
     }
+    GKX_RETURN_IF_ERROR(SetHeight(height + 1));
     for (const ExprPtr& branch : branches) {
       const Expr::Kind kind = branch->kind();
       if (kind != Expr::Kind::kPath && kind != Expr::Kind::kUnion) {
@@ -150,10 +193,12 @@ class Parser {
     switch (token.kind) {
       case TokenKind::kNumber: {
         double value = Take().number;
+        height_ = 1;
         return ExprPtr(build::Number(value));
       }
       case TokenKind::kLiteral: {
         std::string value = Take().text;
+        height_ = 1;
         return ExprPtr(build::Str(std::move(value)));
       }
       case TokenKind::kLParen: {
@@ -194,14 +239,17 @@ class Parser {
     }
     GKX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after function name"));
     std::vector<ExprPtr> args;
+    int height = 0;
     if (Peek().kind != TokenKind::kRParen) {
       while (true) {
         ExprPtr arg;
         GKX_ASSIGN_OR_RETURN(arg, ParseExpr());
         args.push_back(std::move(arg));
+        height = std::max(height, height_);
         if (!Match(TokenKind::kComma)) break;
       }
     }
+    GKX_RETURN_IF_ERROR(SetHeight(height + 1));
     GKX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close the argument list"));
     GKX_RETURN_IF_ERROR(CheckArity(function, args.size()));
     return ExprPtr(build::Call(function, std::move(args)));
@@ -253,9 +301,12 @@ class Parser {
   Result<ExprPtr> ParseLocationPath() {
     bool absolute = false;
     std::vector<Step> steps;
+    // Steps sit side by side; only their predicates nest.
+    int height = 0;
     if (Match(TokenKind::kSlash)) {
       absolute = true;
       if (!StartsStep()) {
+        height_ = 1;
         return ExprPtr(build::Path(true, {}));  // bare "/"
       }
     } else if (Match(TokenKind::kDoubleSlash)) {
@@ -265,7 +316,7 @@ class Parser {
     }
     while (true) {
       Step step;
-      GKX_RETURN_IF_ERROR(ParseStep(&step));
+      GKX_RETURN_IF_ERROR(ParseStep(&step, &height));
       steps.push_back(std::move(step));
       if (Match(TokenKind::kSlash)) {
         if (!StartsStep()) return Error("expected a step after '/'");
@@ -279,6 +330,7 @@ class Parser {
       }
       break;
     }
+    GKX_RETURN_IF_ERROR(SetHeight(height + 1));
     return ExprPtr(build::Path(absolute, std::move(steps)));
   }
 
@@ -295,7 +347,8 @@ class Parser {
     }
   }
 
-  Status ParseStep(Step* out) {
+  // Parses one step; *height rises to its deepest predicate's height.
+  Status ParseStep(Step* out, int* height) {
     if (Match(TokenKind::kDot)) {
       *out = build::MakeStep(Axis::kSelf, NodeTest::AllNodes());
       return Status::Ok();
@@ -352,6 +405,7 @@ class Parser {
       ExprPtr predicate;
       GKX_ASSIGN_OR_RETURN(predicate, ParseExpr());
       predicates.push_back(std::move(predicate));
+      *height = std::max(*height, height_);
       GKX_RETURN_IF_ERROR(Expect(TokenKind::kRBracket, "to close the predicate"));
     }
     *out = build::MakeStep(axis, std::move(test), std::move(predicates));
@@ -360,6 +414,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;   // live ParseExpr / unary-minus recursion
+  int height_ = 0;  // height of the expression last built
 };
 
 }  // namespace
