@@ -27,7 +27,9 @@
 // round-trips answers exactly (raw IEEE-754 bits, id lists), so wire
 // digests must equal in-process digests byte-for-byte. Self-checked bar:
 // wire QPS >= 0.5x in-process at batch >= 64 (framing + 2 syscalls
-// amortize; batch=1 is reported unbarred — it prices a full round trip).
+// amortize; batch=1 is reported unbarred — it prices a full round trip),
+// on the median of kWirePairs in-process/wire pairs measured in
+// alternating order in the same run.
 //
 // --smoke shrinks the corpus and iteration counts for CI and gates only
 // byte-identity and the wire floor (timing bars need the full run).
@@ -217,6 +219,9 @@ ScaleResult RunScale(service::ShardedQueryService* router,
   return result;
 }
 
+/// In-process/wire pairs behind each wire row's ratio.
+constexpr int kWirePairs = 5;
+
 struct WireResult {
   double inproc_qps = 0;
   double wire_qps = 0;
@@ -251,22 +256,31 @@ WireResult RunWire(service::ShardedQueryService* router, const ShardSpec& spec,
   }
   result.digests_match = local_digests == wire_digests;
 
-  Stopwatch timer;
-  int64_t answers = 0;
-  for (int r = 0; r < repetitions; ++r) {
-    auto batch = router->SubmitBatch(local);
-    answers += static_cast<int64_t>(batch.size());
+  // QPS of `repetitions` batches, in-process or over the wire.
+  auto timed_qps = [&](bool over_wire) {
+    Stopwatch timer;
+    int64_t answers = 0;
+    for (int r = 0; r < repetitions; ++r) {
+      answers += static_cast<int64_t>(
+          over_wire ? client.SubmitBatch(wire).size()
+                    : router->SubmitBatch(local).size());
+    }
+    return static_cast<double>(answers) / timer.ElapsedSeconds();
+  };
+  // One pair is one noisy sample: the bar holds on the median of
+  // kWirePairs pair ratios, the order inside each pair alternating.
+  std::vector<double> inproc, over_wire, ratios;
+  for (int pair = 0; pair < kWirePairs; ++pair) {
+    const bool wire_first = pair % 2 == 1;
+    const double first = timed_qps(wire_first);
+    const double second = timed_qps(!wire_first);
+    inproc.push_back(wire_first ? second : first);
+    over_wire.push_back(wire_first ? first : second);
+    ratios.push_back(over_wire.back() / inproc.back());
   }
-  result.inproc_qps = static_cast<double>(answers) / timer.ElapsedSeconds();
-
-  timer.Restart();
-  answers = 0;
-  for (int r = 0; r < repetitions; ++r) {
-    auto batch = client.SubmitBatch(wire);
-    answers += static_cast<int64_t>(batch.size());
-  }
-  result.wire_qps = static_cast<double>(answers) / timer.ElapsedSeconds();
-  result.ratio = result.wire_qps / result.inproc_qps;
+  result.inproc_qps = bench::Median(inproc);
+  result.wire_qps = bench::Median(over_wire);
+  result.ratio = bench::Median(ratios);
 
   client.Close();
   server.Stop();
@@ -441,6 +455,7 @@ int main(int argc, char** argv) {
                    {"inproc_qps", gkx::bench::JsonNum(run.inproc_qps)},
                    {"wire_qps", gkx::bench::JsonNum(run.wire_qps)},
                    {"ratio", gkx::bench::JsonNum(run.ratio)},
+                   {"pairs", gkx::bench::JsonNum(gkx::kWirePairs)},
                    {"bar", gkx::bench::JsonNum(c.barred ? 0.5 : 0)},
                    {"digests_identical",
                     gkx::bench::JsonNum(run.digests_match ? 1 : 0)},

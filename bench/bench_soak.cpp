@@ -1,12 +1,17 @@
 // Soak runner: replays deterministic concurrent workloads (gkx::testkit)
-// against a QueryService until a time budget is exhausted, rotating the
+// at one serving topology until a time budget is exhausted, rotating the
 // seed each round. Exits non-zero on the first failing round and prints the
 // reproducing seed — rerun with --seed=<that> --rounds=1 to replay the
 // exact schedule (the thread interleaving is the only nondeterminism).
+// Each round replays its schedule with testkit::RunSoak in two
+// barrier-separated soak rounds, so every topology's phases run: a
+// kill/recover between and after them with --wal-dir=, the isolation round
+// (and, durable, the one-shard crash) at --shards=2 and up.
 //
 //   ./bench_soak --seconds=30 --threads=4        # CI short mode
 //   ./bench_soak --seed=42 --rounds=1            # replay one seed
 //   ./bench_soak --ops=50000 --seconds=600       # heavier local soak
+//   ./bench_soak --shards=2 --wire --wal-dir=/tmp/soak   # every axis at once
 //
 // Flags: --seed= first seed (default 1), --rounds= max rounds (default
 // unlimited), --seconds= time budget (default 30), --threads= (default 4),
@@ -19,8 +24,11 @@
 // the per-origin cvt loop concurrently — the TSan parallel soak round sets
 // this), --wal-dir=DIR run every round with the durable write-ahead log
 // under DIR/round<N> (each round's directory is wiped first; default off =
-// in-memory), --stats-json=PATH dump the last round's
-// QueryService::ExportStats(kJson) document (the CI schema check reads it).
+// in-memory), --shards=N router shards (default 1 = the single-service
+// topology), --wire replay traffic through a loopback net::Server with one
+// client per thread, --stats-json=PATH dump the last round's router
+// ExportStats(kJson) document with its shards[] breakdown (the CI schema
+// check reads it).
 //
 // Emits BENCH_soak.json (per-round rows, repo root) for cross-PR tracking.
 
@@ -57,6 +65,14 @@ double FlagDouble(int argc, char** argv, const char* name, double fallback) {
   return fallback;
 }
 
+bool FlagSet(int argc, char** argv, const char* name) {
+  const std::string flag = std::string("--") + name;
+  for (int i = 1; i < argc; ++i) {
+    if (flag == argv[i]) return true;
+  }
+  return false;
+}
+
 std::string FlagString(int argc, char** argv, const char* name,
                        const char* fallback) {
   const std::string prefix = std::string("--") + name + "=";
@@ -91,11 +107,14 @@ int main(int argc, char** argv) {
   const std::string stats_json_path =
       FlagString(argc, argv, "stats-json", "");
   const std::string wal_dir = FlagString(argc, argv, "wal-dir", "");
+  const int shards = static_cast<int>(FlagValue(argc, argv, "shards", 1));
+  const bool wire = FlagSet(argc, argv, "wire");
 
   gkx::bench::PrintHeader(
       "soak — deterministic concurrent differential workload",
       "every fragment-specialised engine computes the same XPath semantics",
-      "QueryService answers vs a single-threaded naive oracle under "
+      "router answers (any shard count, durable or not, in-process or "
+      "over the wire) vs a single-threaded naive oracle under "
       "concurrent mixed traffic (zipfian popularity, batches, churn, "
       "standing-query subscriptions, materialized answer cache)");
 
@@ -125,6 +144,9 @@ int main(int argc, char** argv) {
     GKX_CHECK(schedule.ok());
 
     SoakOptions options;
+    options.shards = shards;
+    options.wire = wire;
+    options.rounds = 2;
     options.threads = threads;
     options.standing_queries = subs;
     options.service.plan_cache.capacity = 64;
@@ -139,11 +161,10 @@ int main(int argc, char** argv) {
       options.service.exec.min_parallel_origins = 1;
     }
     if (!wal_dir.empty()) {
-      // Durable soak: every mutation rides through the group-commit WAL.
-      // Fresh directory per round — the soak oracle checks the live corpus,
-      // recovery is bench_wal/wal_recovery_test territory.
-      options.service.wal_dir = wal_dir + "/round" + std::to_string(round);
-      std::filesystem::remove_all(options.service.wal_dir);
+      // Durable soak: every mutation rides through the group-commit WAL,
+      // and the soak kills and recovers the router between its rounds.
+      options.wal_dir = wal_dir + "/round" + std::to_string(round);
+      std::filesystem::remove_all(options.wal_dir);
     }
     SoakReport report = RunSoak(*schedule, options);
     last_stats_json = report.stats_json;
@@ -181,11 +202,14 @@ int main(int argc, char** argv) {
     if (!report.ok()) {
       failed = true;
       std::printf("%s\n", report.Summary().c_str());
-      std::printf("\nREPRODUCE: %s --seed=%llu --rounds=1 --threads=%d --ops=%d --churn=%g --subs=%d --exec-threads=%d%s%s\n",
-                  argv[0], static_cast<unsigned long long>(seed), threads, ops,
-                  churn, subs, exec_threads,
-                  wal_dir.empty() ? "" : " --wal-dir=",
-                  wal_dir.empty() ? "" : wal_dir.c_str());
+      std::printf(
+          "\nREPRODUCE: %s --seed=%llu --rounds=1 --threads=%d --ops=%d "
+          "--churn=%g --edits=%g --subs=%d --exec-threads=%d "
+          "--shards=%d%s%s%s\n",
+          argv[0], static_cast<unsigned long long>(seed), threads, ops, churn,
+          edits, subs, exec_threads, shards, wire ? " --wire" : "",
+          wal_dir.empty() ? "" : " --wal-dir=",
+          wal_dir.empty() ? "" : wal_dir.c_str());
     }
     ++round;
     ++seed;

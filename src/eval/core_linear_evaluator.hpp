@@ -29,6 +29,13 @@
 
 namespace gkx::eval {
 
+/// Smallest document for which partitioned bitset sweeps run in parallel —
+/// the one value behind SweepOptions and plan::CostModel. bench_fig1_fragments
+/// measures the crossover: on a 4-core host, forced partitioned sweeps lose
+/// to one thread up to 128k nodes (0.20-0.93x) and break even (0.97-1.02x)
+/// at 512k, so they start past that.
+inline constexpr int32_t kMinParallelSweepNodes = 1 << 20;
+
 /// How bitset sweeps (axis images, test-set fills, predicate
 /// intersections) are partitioned across a ThreadPool. workers <= 1 — or a
 /// universe below min_parallel_nodes — keeps every sweep sequential: a
@@ -40,9 +47,8 @@ struct SweepOptions {
   /// sequentially.
   int workers = 1;
   /// Documents smaller than this never partition (fork/join overhead
-  /// dominates sub-millisecond sweeps; see the cost model notes in
-  /// plan/physical.hpp).
-  int32_t min_parallel_nodes = 4096;
+  /// dominates sub-millisecond sweeps).
+  int32_t min_parallel_nodes = kMinParallelSweepNodes;
 
   bool ShouldPartition(int32_t universe) const {
     return workers > 1 && universe >= min_parallel_nodes;

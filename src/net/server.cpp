@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 namespace gkx::net {
@@ -108,6 +110,21 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (or unrecoverable) — Stop() handles it
     }
+    // Reap peers that hung up since the last accept. Their threads have
+    // returned (or are returning), so the joins are short, and joining
+    // before the next spawn lets it reuse their stacks.
+    std::vector<std::unique_ptr<Connection>> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto live = std::partition(
+          connections_.begin(), connections_.end(),
+          [](const std::unique_ptr<Connection>& conn) { return !conn->done; });
+      finished.assign(std::make_move_iterator(live),
+                      std::make_move_iterator(connections_.end()));
+      connections_.erase(live, connections_.end());
+    }
+    for (auto& conn : finished) conn->thread.join();
+
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
@@ -116,12 +133,14 @@ void Server::AcceptLoop() {
     SetNoDelay(fd);
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
-    conn->thread = std::thread([this, fd] { ServeConnection(fd); });
+    conn->thread =
+        std::thread([this, raw = conn.get()] { ServeConnection(raw); });
     connections_.push_back(std::move(conn));
   }
 }
 
-void Server::ServeConnection(int fd) {
+void Server::ServeConnection(Connection* conn) {
+  const int fd = conn->fd;
   for (;;) {
     bool clean_eof = false;
     Result<std::string> payload = ReadFrame(fd, &clean_eof);
@@ -139,16 +158,15 @@ void Server::ServeConnection(int fd) {
     }
     if (!WriteFrame(fd, EncodeMessage(response)).ok()) break;
   }
-  // The fd is closed by Stop() (which owns the Connection record); closing
-  // here as well would race a concurrent shutdown. Mark it done instead.
+  // Once Stop() has taken the records it owns the fd (closing here as well
+  // would race its shutdown); before that, close it and leave the record
+  // for the accept loop to reap.
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& conn : connections_) {
-    if (conn->fd == fd) {
-      ::close(fd);
-      conn->fd = -1;
-      break;
-    }
+  if (!stopping_) {
+    ::close(fd);
+    conn->fd = -1;
   }
+  conn->done = true;
 }
 
 Message Server::Dispatch(const Message& request) {

@@ -7,6 +7,8 @@
 // Lifecycle: Start() binds and listens (port 0 picks an ephemeral port,
 // readable via port() afterwards); Stop() shuts the listener and every live
 // connection down and joins all threads. The destructor calls Stop().
+// Finished connections are reaped (thread joined, record erased) on the
+// accept path, so a long-lived server holds one record per live peer.
 
 #ifndef GKX_NET_SERVER_HPP_
 #define GKX_NET_SERVER_HPP_
@@ -55,11 +57,12 @@ class Server {
  private:
   struct Connection {
     int fd = -1;
+    bool done = false;  // ServeConnection returned; guarded by mu_
     std::thread thread;
   };
 
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* conn);
 
   service::ShardedQueryService* service_;
   Options options_;

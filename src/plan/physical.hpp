@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/core_linear_evaluator.hpp"
 #include "plan/footprint.hpp"
 #include "plan/ir.hpp"
 
@@ -44,10 +45,8 @@ struct CostModel {
   double cvt_step = 3.4;     // one per-origin cvt step, mid-plan frontier
 
   /// Smallest document for which partitioned bitset sweeps run in
-  /// parallel. bench_fig1_fragments measures the crossover: on a 4-core
-  /// host, forced partitioned sweeps lose to one thread up to 128k nodes
-  /// and break even (0.97-1.02x) at 512k, so they start past that.
-  int32_t min_parallel_nodes = 1 << 20;
+  /// parallel (the measured crossover, defined once in eval/).
+  int32_t min_parallel_nodes = eval::kMinParallelSweepNodes;
   /// Origins per chunk below which the per-origin cvt loop stays on one
   /// thread (a loop of n origins splits into n / min_parallel_origins
   /// chunks, at most the worker count). Measured on the same host: forced

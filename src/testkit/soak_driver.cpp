@@ -6,12 +6,19 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "base/check.hpp"
 #include "mview/subscription.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
+#include "service/shard_map.hpp"
+#include "service/sharded_service.hpp"
 #include "testkit/reference_edit.hpp"
 #include "xml/serializer.hpp"
 #include "xpath/parser.hpp"
@@ -20,6 +27,16 @@ namespace gkx::testkit {
 namespace {
 
 using service::QueryService;
+using service::ServiceStats;
+using service::ShardedQueryService;
+using Kind = Operation::Kind;
+using Answers = std::vector<Result<QueryService::Answer>>;
+
+constexpr size_t kMaxFailuresReported = 8;
+
+bool IsChurn(const Operation& op) {
+  return op.kind == Kind::kAddDocument || op.kind == Kind::kEditDocument;
+}
 
 int64_t SumCounts(const std::map<std::string, int64_t>& counts) {
   int64_t total = 0;
@@ -51,7 +68,9 @@ bool ApplyDiff(eval::NodeSet* applied, const mview::SubscriptionEvent& event) {
     return false;
   }
   for (xml::NodeId node : event.added) {
-    if (std::binary_search(applied->begin(), applied->end(), node)) return false;
+    if (std::binary_search(applied->begin(), applied->end(), node)) {
+      return false;
+    }
   }
   eval::NodeSet after_removal;
   std::set_difference(applied->begin(), applied->end(), event.removed.begin(),
@@ -64,416 +83,817 @@ bool ApplyDiff(eval::NodeSet* applied, const mview::SubscriptionEvent& event) {
   return true;
 }
 
-class Replay {
+/// One replay thread's route into the router: direct calls, or its own
+/// loopback connection when the topology includes the wire (a failed
+/// connect surfaces as every request's error status).
+class Lane {
  public:
-  Replay(const Schedule& schedule, const SoakOptions& options)
+  Lane(ShardedQueryService* router, uint16_t port)
+      : router_(router), wire_(port != 0) {
+    if (wire_) client_.Connect("127.0.0.1", port);
+  }
+
+  /// One request (a kSubmit) goes through Submit, several (a kBatch, which
+  /// has two or more) through SubmitBatch.
+  Answers Submit(const std::vector<QueryService::Request>& batch) {
+    if (batch.size() == 1) {
+      const auto& [doc, query] = batch[0];
+      return {wire_ ? client_.Submit(doc, query) : router_->Submit(doc, query)};
+    }
+    if (!wire_) return router_->SubmitBatch(batch);
+    std::vector<net::WireRequest> requests;
+    requests.reserve(batch.size());
+    for (const auto& request : batch) {
+      requests.push_back({request.doc_key, request.query});
+    }
+    return client_.SubmitBatch(requests);
+  }
+  Status Register(const std::string& key, const xml::Document& doc) {
+    return wire_ ? client_.RegisterXml(key, xml::SerializeDocument(doc))
+                 : router_->RegisterDocument(key, xml::Document(doc));
+  }
+  Status Update(const std::string& key, const xml::SubtreeEdit& edit) {
+    return wire_ ? client_.UpdateDocument(key, edit)
+                 : router_->UpdateDocument(key, edit);
+  }
+
+ private:
+  ShardedQueryService* router_;
+  const bool wire_;
+  net::Client client_;
+};
+
+class Soak {
+ public:
+  Soak(const Schedule& schedule, const SoakOptions& options)
       : schedule_(schedule),
+        options_(options),
         threads_(std::max(1, options.threads)),
-        max_reported_(options.max_failures_reported),
-        answer_cache_enabled_(options.service.answer_cache_enabled),
-        exec_workers_(options.service.exec.workers),
+        shards_(std::max(1, options.shards)),
+        durable_(!options.wal_dir.empty()),
+        map_(shards_),
         standing_(PickStandingQueries(schedule, options.standing_queries)),
-        oracle_(schedule, standing_) {
+        oracle_(schedule, standing_),
+        watermark_(schedule.revisions.size(), 0) {
+    for (const std::string& key : schedule.doc_keys) {
+      doc_shard_.push_back(map_.ShardOf(key));
+    }
+    PlanRounds(std::max(1, options.rounds));
+    PickProbes();
     // Compose the eviction observation on top of any caller-provided hook.
-    QueryService::Options service_options = options.service;
-    auto caller_hook = service_options.plan_cache.on_evict;
-    service_options.plan_cache.on_evict =
+    router_options_.shards = shards_;
+    router_options_.wal_dir = options.wal_dir;
+    router_options_.shard = options.service;
+    auto caller_hook = options.service.plan_cache.on_evict;
+    router_options_.shard.plan_cache.on_evict =
         [this, caller_hook](const std::string& key) {
-          observed_evictions_.fetch_add(1, std::memory_order_relaxed);
+          evictions_.fetch_add(1, std::memory_order_relaxed);
           if (caller_hook) caller_hook(key);
         };
-    service_ = std::make_unique<QueryService>(service_options);
+    report_.seed = schedule.seed;
+    report_.threads = threads_;
+    report_.shards = shards_;
+    report_.rounds = static_cast<int>(plan_.size());
+    report_.durable = durable_;
+    report_.wire = options.wire;
+    report_.operations = static_cast<int64_t>(schedule.operations.size());
+    report_.oracle_evaluations = oracle_.evaluations();
+    report_.subscriptions = static_cast<int64_t>(standing_.size());
+  }
 
-    max_rev_.reserve(schedule.revisions.size());
-    for (size_t d = 0; d < schedule.revisions.size(); ++d) {
-      GKX_CHECK(service_
-                    ->RegisterDocument(schedule.doc_keys[d],
-                                       xml::Document(schedule.revisions[d][0]))
-                    .ok());
-      max_rev_.push_back(static_cast<int32_t>(schedule.revisions[d].size()) - 1);
+  SoakReport Run() {
+    const int rounds = static_cast<int>(plan_.size());
+    for (int round = 0; round < rounds; ++round) {
+      if (round == 0 || durable_) Open(round);
+      RunRound(round);
+      if (durable_ || round == rounds - 1) EndIncarnation(round, true);
+      if (durable_) Kill(round);
     }
+    if (durable_) {
+      // One extra incarnation proves the last kill recovers too.
+      Open(rounds);
+      EndIncarnation(rounds, false);
+    }
+    CheckFinalDocuments();
+    report_.requests = replay_requests_.load();
+    if (report_.requests != schedule_.total_requests) {
+      Fail(&SoakReport::stats_violations,
+           "stats inconsistency: seed=" + std::to_string(schedule_.seed) +
+               " executed requests != schedule total");
+    }
+    report_.mutations = mutations_.load();
+    report_.patches = patches_.load();
+    report_.checkpoints = checkpoints_.load();
+    std::lock_guard<std::mutex> lock(failures_mu_);
+    return report_;
+  }
 
-    // Standing queries watch the whole corpus; deliveries are collected per
-    // (subscription, document) in arrival order (delivery per subscription
-    // is serialized by the manager, so arrival order == delivery order).
+ private:
+  bool IsolationRound(int round) const {
+    return shards_ >= 2 && round == static_cast<int>(plan_.size()) - 1;
+  }
+  int ShardOfDoc(int32_t doc) const {
+    return doc_shard_[static_cast<size_t>(doc)];
+  }
+  const std::string& Key(int32_t doc) const {
+    return schedule_.doc_keys[static_cast<size_t>(doc)];
+  }
+  const std::string& Query(int32_t query) const {
+    return schedule_.queries[static_cast<size_t>(query)];
+  }
+  /// The replay thread that runs operation i.
+  int ThreadOf(size_t i) const {
+    const Operation& op = schedule_.operations[i];
+    return IsChurn(op) ? op.doc % threads_
+                       : static_cast<int>(i % static_cast<size_t>(threads_));
+  }
+  std::string Where(int round) const {
+    return "seed=" + std::to_string(schedule_.seed) +
+           " round=" + std::to_string(round);
+  }
+
+  /// Cuts the operation list into contiguous rounds. At shards >= 2 the
+  /// last round is the isolation round: churn on documents outside shard 0
+  /// moves to the end of the round before, which keeps per-document order.
+  void PlanRounds(int rounds) {
+    if (shards_ >= 2) rounds = std::max(rounds, 2);
+    const size_t n = schedule_.operations.size();
+    for (int r = 0; r < rounds; ++r) {
+      plan_.emplace_back();
+      for (size_t i = n * static_cast<size_t>(r) / static_cast<size_t>(rounds);
+           i < n * static_cast<size_t>(r + 1) / static_cast<size_t>(rounds);
+           ++i) {
+        plan_.back().push_back(i);
+      }
+    }
+    if (shards_ < 2) return;
+    std::vector<size_t>& last = plan_.back();
+    std::vector<size_t>& before = plan_[plan_.size() - 2];
+    auto moved = std::stable_partition(last.begin(), last.end(), [&](size_t i) {
+      const Operation& op = schedule_.operations[i];
+      return !IsChurn(op) || ShardOfDoc(op.doc) == 0;
+    });
+    before.insert(before.end(), moved, last.end());
+    last.erase(moved, last.end());
+  }
+
+  /// One probe query per document for the post-recovery reads: one the
+  /// Oracle holds for that document where there is one (standing queries
+  /// hold every document; otherwise the first the schedule asks of it).
+  void PickProbes() {
+    if (schedule_.queries.empty()) return;
+    const size_t docs = schedule_.doc_keys.size();
+    probe_.assign(docs, -1);
+    if (!standing_.empty()) probe_.assign(docs, standing_.front());
+    for (const Operation& op : schedule_.operations) {
+      for (const auto& [doc, query] : op.requests) {
+        int32_t& probe = probe_[static_cast<size_t>(doc)];
+        if (probe < 0) probe = query;
+      }
+    }
+  }
+
+  void Fail(int64_t SoakReport::*counter, const std::string& message) {
+    std::lock_guard<std::mutex> lock(failures_mu_);
+    ++(report_.*counter);
+    if (report_.failures.size() < kMaxFailuresReported) {
+      report_.failures.push_back(message + " | replay: CompileWorkload(seed=" +
+                                 std::to_string(schedule_.seed) + ")");
+    }
+  }
+
+  // ------------------------------------------------------- incarnations
+
+  /// Builds the router (reopening the directory after round 0), zeroes the
+  /// per-incarnation counters, verifies a recovered corpus, subscribes.
+  void Open(int round) {
+    router_ = std::make_unique<ShardedQueryService>(router_options_);
+    requests_.store(0);
+    request_errors_.store(0);
+    evictions_.store(0);
+    deliveries_.store(0);
+    expected_requests_.assign(static_cast<size_t>(shards_), 0);
+    expected_batches_.assign(static_cast<size_t>(shards_), 0);
+    for (int s = 0; s < shards_ && durable_; ++s) {
+      const QueryService& shard = router_->shard(s);
+      if (!shard.wal_status().ok() || !shard.wal_enabled()) {
+        Fail(&SoakReport::errors,
+             "error: " + Where(round) + " shard " + std::to_string(s) +
+                 " wal failed to open: " + shard.wal_status().ToString());
+      }
+    }
+    if (round == 0) {
+      // The initial corpus goes through the WAL like any other mutation.
+      for (size_t d = 0; d < schedule_.revisions.size(); ++d) {
+        Status put = router_->RegisterDocument(
+            schedule_.doc_keys[d], xml::Document(schedule_.revisions[d][0]));
+        if (!put.ok()) {
+          Fail(&SoakReport::errors, "error: " + Where(round) + " initial put " +
+                                        schedule_.doc_keys[d] + ": " +
+                                        put.ToString());
+        }
+      }
+    } else {
+      Recovered(round);
+      VerifyCorpus(round, "post-recovery");
+    }
+    incarnation_start_ = watermark_;
+    Subscribe();
+  }
+
+  /// Sums what recovery did, shard by shard; after the one-shard crash,
+  /// exactly shard 0 may replay journal records.
+  void Recovered(int round) {
+    ++report_.recoveries;
+    for (int s = 0; s < shards_; ++s) {
+      const wal::RecoveryReport& recovered = router_->shard(s).wal_recovery();
+      report_.snapshots_loaded += recovered.snapshots_loaded;
+      report_.records_replayed += recovered.records_replayed;
+      report_.records_skipped += recovered.records_skipped;
+      // Writers were joined before every kill, so each record was
+      // acknowledged and fully flushed: a torn tail is a WAL bug here.
+      if (recovered.torn()) {
+        Fail(&SoakReport::errors,
+             "error: " + Where(round) + " shard " + std::to_string(s) +
+                 " unexpected torn tail (" +
+                 std::to_string(recovered.torn_tail_bytes) +
+                 " bytes): " + recovered.torn_tail_reason);
+      }
+    }
+    if (!IsolationRound(round - 1)) return;
+    report_.records_replayed_shard0 =
+        router_->shard(0).wal_recovery().records_replayed;
+    if (shard0_churn_ > 0 && report_.records_replayed_shard0 <= 0) {
+      Fail(&SoakReport::isolation_violations,
+           "isolation violation: " + Where(round) +
+               " shard 0 replayed no journal records after its crash");
+    }
+    for (int s = 1; s < shards_; ++s) {
+      const wal::RecoveryReport& recovered = router_->shard(s).wal_recovery();
+      const bool owns_documents =
+          std::count(doc_shard_.begin(), doc_shard_.end(), s) > 0;
+      if (recovered.records_replayed != 0 ||
+          (owns_documents && recovered.snapshots_loaded <= 0)) {
+        Fail(&SoakReport::isolation_violations,
+             "isolation violation: " + Where(round) + " shard " +
+                 std::to_string(s) + " replayed " +
+                 std::to_string(recovered.records_replayed) +
+                 " records and loaded " +
+                 std::to_string(recovered.snapshots_loaded) +
+                 " snapshots after checkpointing everything");
+      }
+    }
+  }
+
+  /// Every document must sit at exactly its watermark revision, node for
+  /// node, and must serve its probe query.
+  void VerifyCorpus(int round, const std::string& when) {
+    for (size_t d = 0; d < schedule_.revisions.size(); ++d) {
+      const int32_t doc = static_cast<int32_t>(d);
+      auto stored = router_->shard(ShardOfDoc(doc)).documents().Get(Key(doc));
+      std::string why = "document vanished";
+      if (stored != nullptr &&
+          ExhaustiveEquals(stored->doc(),
+                           schedule_.revisions[d][static_cast<size_t>(
+                               watermark_[d])],
+                           &why)) {
+        continue;
+      }
+      Fail(&SoakReport::recovery_divergences,
+           "recovery divergence (" + when + "): " + Where(round) +
+               " doc=" + Key(doc) + " expected revision " +
+               std::to_string(watermark_[d]) + ": " + why);
+    }
+    for (size_t d = 0; d < probe_.size(); ++d) {
+      const int32_t doc = static_cast<int32_t>(d);
+      const int32_t query = probe_[d] >= 0
+                                ? probe_[d]
+                                : static_cast<int32_t>(
+                                      d % schedule_.queries.size());
+      requests_.fetch_add(1);
+      ++expected_requests_[static_cast<size_t>(ShardOfDoc(doc))];
+      auto answer = router_->Submit(Key(doc), Query(query));
+      if (!answer.ok()) {
+        request_errors_.fetch_add(1);
+        Fail(&SoakReport::errors, "error: " + Where(round) + " probe '" +
+                                      Query(query) + "' on " + Key(doc) +
+                                      " failed " + when + ": " +
+                                      answer.status().ToString());
+      } else if (probe_[d] >= 0 &&
+                 !oracle_.MatchesAnyRevision(doc, watermark_[d],
+                                             watermark_[d], query,
+                                             AnswerDigest(answer->value))) {
+        Fail(&SoakReport::recovery_divergences,
+             "recovery divergence (" + when + "): " + Where(round) +
+                 " probe '" + Query(query) + "' on " + Key(doc) + " got " +
+                 AnswerDigest(answer->value) + " want " +
+                 oracle_.Expected(doc, watermark_[d], query));
+      }
+    }
+  }
+
+  void Subscribe() {
+    sub_ids_.clear();
+    {
+      std::lock_guard<std::mutex> lock(events_mu_);
+      events_.clear();
+    }
     for (int32_t query : standing_) {
-      auto subscribed = service_->Subscribe(
-          "doc*", schedule.queries[static_cast<size_t>(query)],
-          [this](const mview::SubscriptionEvent& event) {
-            observed_deliveries_.fetch_add(1, std::memory_order_relaxed);
+      auto subscribed = router_->Subscribe(
+          "doc*", Query(query), [this](const mview::SubscriptionEvent& event) {
+            deliveries_.fetch_add(1, std::memory_order_relaxed);
+            if (isolating_.load() && map_.ShardOf(event.doc_key) != 0) {
+              sibling_events_.fetch_add(1);
+            }
             std::lock_guard<std::mutex> lock(events_mu_);
             events_[{event.subscription, event.doc_key}].push_back(event);
           });
       GKX_CHECK(subscribed.ok());
-      subs_.emplace_back(*subscribed, query);
+      sub_ids_.emplace(*subscribed, query);
+    }
+    router_->FlushSubscriptions();
+  }
+
+  /// Subscription replay and stats reconciliation for the incarnation;
+  /// `replayed` marks one that ran a round (its stats become the report's).
+  void EndIncarnation(int round, bool replayed) {
+    router_->FlushSubscriptions();
+    report_.subscription_events += deliveries_.load();
+    CheckSubscriptions(round);
+    CheckStats(round);
+    if (replayed) {
+      report_.stats = router_->Stats();
+      report_.stats_json = router_->ExportStats(service::StatsFormat::kJson);
     }
   }
 
-  SoakReport Run() {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) {
-      workers.emplace_back([this, t] { Worker(t); });
+  void Kill(int round) {
+    VerifyCorpus(round, "pre-kill");
+    if (IsolationRound(round)) {
+      // The one-shard crash: the siblings checkpointed at the halfway
+      // point, shard 0 churned on alone and now loses its volatile tail.
+      router_->shard(0).CrashWalForTest();
+      report_.shard_crash_ran = true;
+      ++report_.crashes;
+    } else if (round % 2 == 1) {
+      // Hard kill: drop every shard's volatile tail as kill -9 would.
+      // Everything above was acknowledged, so nothing may be lost anyway.
+      for (int s = 0; s < shards_; ++s) router_->shard(s).CrashWalForTest();
+      ++report_.crashes;
+    } else {
+      ++report_.clean_closes;
     }
-    for (auto& worker : workers) worker.join();
-    // Churn has stopped; drain pending subscription evaluations so the
-    // collected diff streams (and the fired counter) are final.
-    service_->FlushSubscriptions();
-
-    SoakReport report;
-    report.seed = schedule_.seed;
-    report.threads = threads_;
-    report.operations = static_cast<int64_t>(schedule_.operations.size());
-    report.requests = requests_.load();
-    report.oracle_evaluations = oracle_.evaluations();
-    report.divergences = divergences_.load();
-    report.errors = errors_.load();
-    report.patches = patches_.load();
-    report.patch_divergences = patch_divergences_.load();
-    report.stats = service_->Stats();
-    report.stats_json = service_->ExportStats(service::StatsFormat::kJson);
-    CheckFinalDocuments(&report);
-    CheckSubscriptions(&report);
-    CheckStats(&report);
-    {
-      std::lock_guard<std::mutex> lock(failures_mu_);
-      report.failures = failures_;
-    }
-    return report;
+    router_.reset();
   }
 
- private:
-  void Worker(int thread) {
-    // Same-thread churn is visible to later reads on this thread (the store
-    // mutex orders Put before Get); that is the lower edge of the window.
-    std::vector<int32_t> watermark(schedule_.revisions.size(), 0);
-    for (size_t i = 0; i < schedule_.operations.size(); ++i) {
+  // -------------------------------------------------------------- rounds
+
+  void RunRound(int round) {
+    const std::vector<size_t>& ops = plan_[static_cast<size_t>(round)];
+    round_hi_ = watermark_;
+    for (size_t i : ops) {
       const Operation& op = schedule_.operations[i];
-      // Churn is pinned by document so per-document revisions are installed
-      // in schedule order; everything else is dealt round-robin.
-      const bool churn = op.kind == Operation::Kind::kAddDocument ||
-                         op.kind == Operation::Kind::kEditDocument;
-      const bool mine =
-          churn ? op.doc % threads_ == thread
-                : static_cast<int>(i % static_cast<size_t>(threads_)) == thread;
-      if (!mine) continue;
-
-      switch (op.kind) {
-        case Operation::Kind::kAddDocument: {
-          const size_t doc = static_cast<size_t>(op.doc);
-          GKX_CHECK(
-              service_
-                  ->RegisterDocument(
-                      schedule_.doc_keys[doc],
-                      xml::Document(
-                          schedule_.revisions[doc][static_cast<size_t>(
-                              op.revision)]))
-                  .ok());
-          watermark[doc] = op.revision;
-          break;
+      if (IsChurn(op)) {
+        round_hi_[static_cast<size_t>(op.doc)] = op.revision;
+      } else if (op.kind == Kind::kSubmit) {
+        ++expected_requests_[static_cast<size_t>(
+            ShardOfDoc(op.requests[0].first))];
+      } else {
+        std::set<int> touched;
+        for (const auto& [doc, query] : op.requests) {
+          ++expected_requests_[static_cast<size_t>(ShardOfDoc(doc))];
+          touched.insert(ShardOfDoc(doc));
         }
-        case Operation::Kind::kEditDocument: {
-          const size_t doc = static_cast<size_t>(op.doc);
-          patches_.fetch_add(1, std::memory_order_relaxed);
-          GKX_CHECK(
-              service_->UpdateDocument(schedule_.doc_keys[doc], op.edit).ok());
-          watermark[doc] = op.revision;
-          // Differential: this thread is the document's only writer, so the
-          // store now holds exactly what the patch produced — which must be
-          // node-for-node the schedule's precomputed revision (the one the
-          // oracle answers are keyed on, and the one the compile step
-          // already checked against a from-scratch rebuild).
-          auto stored = service_->documents().Get(schedule_.doc_keys[doc]);
-          std::string why;
-          if (stored == nullptr ||
-              !ExhaustiveEquals(
-                  stored->doc(),
-                  schedule_.revisions[doc][static_cast<size_t>(op.revision)],
-                  &why)) {
-            patch_divergences_.fetch_add(1, std::memory_order_relaxed);
-            std::ostringstream message;
-            message << "patch divergence: seed=" << schedule_.seed
-                    << " op=" << i << " thread=" << thread << " doc="
-                    << schedule_.doc_keys[doc] << " revision=" << op.revision
-                    << " " << (stored == nullptr ? "document vanished" : why)
-                    << " | replay: CompileWorkload(seed=" << schedule_.seed
-                    << ")";
-            RecordFailure(message.str());
-          }
-          break;
-        }
-        case Operation::Kind::kSubmit: {
-          const auto [doc, query] = op.requests.front();
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          auto response =
-              service_->Submit(schedule_.doc_keys[static_cast<size_t>(doc)],
-                               schedule_.queries[static_cast<size_t>(query)]);
-          CheckAnswer(i, thread, doc, query,
-                      watermark[static_cast<size_t>(doc)], response);
-          break;
-        }
-        case Operation::Kind::kBatch: {
-          std::vector<QueryService::Request> batch;
-          batch.reserve(op.requests.size());
-          for (const auto& [doc, query] : op.requests) {
-            batch.push_back(
-                {schedule_.doc_keys[static_cast<size_t>(doc)],
-                 schedule_.queries[static_cast<size_t>(query)]});
-          }
-          requests_.fetch_add(static_cast<int64_t>(batch.size()),
-                              std::memory_order_relaxed);
-          auto responses = service_->SubmitBatch(batch);
-          for (size_t r = 0; r < responses.size(); ++r) {
-            const auto [doc, query] = op.requests[r];
-            CheckAnswer(i, thread, doc, query,
-                        watermark[static_cast<size_t>(doc)], responses[r]);
-          }
-          break;
-        }
+        for (int s : touched) ++expected_batches_[static_cast<size_t>(s)];
       }
     }
+    const bool isolation = IsolationRound(round);
+    std::vector<ServiceStats> before;
+    if (isolation) {
+      report_.isolation_ran = true;
+      shard0_churn_ = static_cast<int64_t>(
+          std::count_if(ops.begin(), ops.end(), [this](size_t i) {
+            return IsChurn(schedule_.operations[i]);
+          }));
+      before = router_->ShardStats();
+      isolating_.store(true);  // deliveries so far were flushed
+    }
+
+    std::unique_ptr<net::Server> server;
+    if (options_.wire) {
+      server = std::make_unique<net::Server>(router_.get(),
+                                             net::Server::Options{});
+      Status started = server->Start();
+      if (!started.ok()) {
+        Fail(&SoakReport::errors,
+             "error: " + Where(round) + " server: " + started.ToString());
+        return;
+      }
+    }
+    const uint16_t port = server == nullptr ? 0 : server->port();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads_; ++t) {
+      workers.emplace_back([this, round, port, t] { Worker(round, t, port); });
+    }
+    for (auto& worker : workers) worker.join();
+    server.reset();
+    router_->FlushSubscriptions();
+    isolating_.store(false);
+    watermark_ = round_hi_;
+    if (isolation) CheckIsolation(round, before);
   }
 
-  void CheckAnswer(size_t op_index, int thread, int32_t doc, int32_t query,
-                   int32_t rev_lo, const Result<QueryService::Answer>& response) {
-    const int32_t rev_hi = max_rev_[static_cast<size_t>(doc)];
+  void Worker(int round, int thread, uint16_t port) {
+    Lane lane(router_.get(), port);
+    // Same-thread churn is visible to this thread's later reads: the lower
+    // edge of the read window.
+    std::vector<int32_t> seen = watermark_;
+    const std::vector<size_t>& ops = plan_[static_cast<size_t>(round)];
+    for (size_t pos = 0; pos < ops.size(); ++pos) {
+      const size_t i = ops[pos];
+      if (ThreadOf(i) != thread) continue;
+      const Operation& op = schedule_.operations[i];
+      const std::string where = Where(round) + " op=" + std::to_string(i) +
+                                " thread=" + std::to_string(thread);
+      if (IsChurn(op)) {
+        Mutate(op, where, &lane, &seen);
+      } else {
+        std::vector<QueryService::Request> batch;
+        for (const auto& [doc, query] : op.requests) {
+          batch.push_back({Key(doc), Query(query)});
+        }
+        const auto n = static_cast<int64_t>(batch.size());
+        replay_requests_.fetch_add(n, std::memory_order_relaxed);
+        requests_.fetch_add(n, std::memory_order_relaxed);
+        Answers responses = lane.Submit(batch);
+        for (size_t r = 0; r < responses.size(); ++r) {
+          const auto [doc, query] = op.requests[r];
+          CheckAnswer(where, doc, query, seen[static_cast<size_t>(doc)],
+                      responses[r]);
+        }
+      }
+      if (durable_ && pos == ops.size() / 2) Checkpoint(round);
+    }
+  }
+
+  void Mutate(const Operation& op, const std::string& where, Lane* lane,
+              std::vector<int32_t>* seen) {
+    const size_t doc = static_cast<size_t>(op.doc);
+    const xml::Document& want =
+        schedule_.revisions[doc][static_cast<size_t>(op.revision)];
+    const bool patch = op.kind == Kind::kEditDocument;
+    Status status = patch ? lane->Update(Key(op.doc), op.edit)
+                          : lane->Register(Key(op.doc), want);
+    if (!status.ok()) {
+      Fail(&SoakReport::errors, "error: " + where + " mutation of " +
+                                    Key(op.doc) + ": " + status.ToString());
+      return;
+    }
+    mutations_.fetch_add(1, std::memory_order_relaxed);
+    if (patch) patches_.fetch_add(1, std::memory_order_relaxed);
+    (*seen)[doc] = op.revision;
+    // This thread is the document's only writer, so the store now holds
+    // exactly what the mutation produced — which must be node for node the
+    // precomputed revision the oracle answers are keyed on.
+    auto stored =
+        router_->shard(ShardOfDoc(op.doc)).documents().Get(Key(op.doc));
+    std::string why = "document vanished";
+    if (stored == nullptr || !ExhaustiveEquals(stored->doc(), want, &why)) {
+      Fail(&SoakReport::patch_divergences,
+           "patch divergence: " + where + " doc=" + Key(op.doc) +
+               " revision=" + std::to_string(op.revision) + " " + why);
+    }
+  }
+
+  /// The halfway checkpoint races the other writers' appends. In the
+  /// isolation round it covers the siblings only, so shard 0 crashes with
+  /// the round's records still in its journal.
+  void Checkpoint(int round) {
+    for (int s = IsolationRound(round) ? 1 : 0; s < shards_; ++s) {
+      Status status = router_->shard(s).CheckpointNow();
+      if (!status.ok()) {
+        Fail(&SoakReport::errors,
+             "error: " + Where(round) + " checkpoint of shard " +
+                 std::to_string(s) + ": " + status.ToString());
+        return;
+      }
+    }
+    checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  void CheckAnswer(const std::string& where, int32_t doc, int32_t query,
+                   int32_t rev_lo,
+                   const Result<QueryService::Answer>& response) {
+    const int32_t rev_hi = round_hi_[static_cast<size_t>(doc)];
     if (!response.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream message;
-      message << "error: seed=" << schedule_.seed << " op=" << op_index
-              << " thread=" << thread << " doc="
-              << schedule_.doc_keys[static_cast<size_t>(doc)] << " query='"
-              << schedule_.queries[static_cast<size_t>(query)]
-              << "' status=" << response.status().ToString();
-      RecordFailure(message.str());
+      request_errors_.fetch_add(1, std::memory_order_relaxed);
+      Fail(&SoakReport::errors, "error: " + where + " doc=" + Key(doc) +
+                                    " query='" + Query(query) +
+                                    "' status=" + response.status().ToString());
       return;
     }
     const std::string digest = AnswerDigest(response->value);
     if (oracle_.MatchesAnyRevision(doc, rev_lo, rev_hi, query, digest)) return;
-    divergences_.fetch_add(1, std::memory_order_relaxed);
-    std::ostringstream message;
-    message << "divergence: seed=" << schedule_.seed << " op=" << op_index
-            << " thread=" << thread << " doc="
-            << schedule_.doc_keys[static_cast<size_t>(doc)] << " query='"
-            << schedule_.queries[static_cast<size_t>(query)]
-            << "' evaluator=" << response->evaluator << " rev_window=["
-            << rev_lo << "," << rev_hi << "] got=" << digest
-            << " want(rev" << rev_hi << ")="
-            << oracle_.Expected(doc, rev_hi, query)
-            << " | replay: CompileWorkload(seed=" << schedule_.seed << ")";
-    RecordFailure(message.str());
+    Fail(&SoakReport::divergences,
+         "divergence: " + where + " doc=" + Key(doc) + " query='" +
+             Query(query) + "' evaluator=" + response->evaluator +
+             " rev_window=[" + std::to_string(rev_lo) + "," +
+             std::to_string(rev_hi) + "] got=" + digest + " want(rev" +
+             std::to_string(rev_hi) +
+             ")=" + oracle_.Expected(doc, rev_hi, query));
   }
 
-  /// Lost-update check: churn per document is single-threaded, so the final
-  /// store state must be exactly the highest revision, byte for byte.
-  void CheckFinalDocuments(SoakReport* report) {
-    for (size_t d = 0; d < schedule_.revisions.size(); ++d) {
-      auto stored = service_->documents().Get(schedule_.doc_keys[d]);
-      const xml::Document& expected = schedule_.revisions[d].back();
-      if (stored != nullptr && xml::SerializeDocument(stored->doc()) ==
-                                   xml::SerializeDocument(expected)) {
-        continue;
+  // -------------------------------------------------------------- checks
+
+  /// Across the isolation round the siblings saw no churn: their caches and
+  /// subscriptions must not have moved, and they must still serve warm.
+  void CheckIsolation(int round, const std::vector<ServiceStats>& before) {
+    auto violation = [&](const std::string& what) {
+      Fail(&SoakReport::isolation_violations,
+           "isolation violation: " + Where(round) + " " + what);
+    };
+    const std::vector<ServiceStats> after = router_->ShardStats();
+    const std::vector<bool> warm = WarmSiblings(round);
+    for (int s = 1; s < shards_; ++s) {
+      const ServiceStats& b = before[static_cast<size_t>(s)];
+      const ServiceStats& a = after[static_cast<size_t>(s)];
+      const std::string shard = "shard " + std::to_string(s);
+      if (a.answer_cache.invalidations != b.answer_cache.invalidations ||
+          a.answer_cache.retained != b.answer_cache.retained ||
+          a.answer_cache.remapped != b.answer_cache.remapped) {
+        violation(shard + " saw churn it does not own (answer-cache "
+                          "invalidations/retained/remapped moved)");
       }
-      ++report->lost_updates;
-      std::ostringstream message;
-      message << "lost update: seed=" << schedule_.seed << " doc="
-              << schedule_.doc_keys[d] << " final store state is not revision "
-              << schedule_.revisions[d].size() - 1;
-      RecordFailure(message.str());
+      if (a.subscriptions.evaluations != b.subscriptions.evaluations) {
+        violation(shard + " re-evaluated subscriptions without churn");
+      }
+      if (a.answer_cache_enabled && warm[static_cast<size_t>(s)] &&
+          a.answer_cache.hits == b.answer_cache.hits) {
+        violation(shard + " served no warm answers to repeated reads");
+      }
+    }
+    if (sibling_events_.load() != 0) {
+      violation(std::to_string(sibling_events_.load()) +
+                " subscription events for sibling shards' documents");
     }
   }
 
-  /// Re-applies each (subscription, document) diff stream from the empty
-  /// set: every intermediate state must be the oracle answer at *some*
-  /// revision (diffs are coalesced snapshots of states that really
-  /// existed), and the final state must match the highest revision.
-  void CheckSubscriptions(SoakReport* report) {
-    report->subscriptions = static_cast<int64_t>(subs_.size());
-    report->subscription_events = observed_deliveries_.load();
-    if (subs_.empty()) return;
-    auto violation = [this, report](int64_t sub, int32_t doc, int32_t query,
-                                    size_t event_index, const std::string& what,
-                                    const std::string& digest) {
-      ++report->subscription_violations;
-      std::ostringstream message;
-      message << "subscription violation: seed=" << schedule_.seed
-              << " op=post-join sub=" << sub << " doc="
-              << schedule_.doc_keys[static_cast<size_t>(doc)] << " query='"
-              << schedule_.queries[static_cast<size_t>(query)] << "' event="
-              << event_index << " " << what << " state=" << digest
-              << " | replay: CompileWorkload(seed=" << schedule_.seed << ")";
-      RecordFailure(message.str());
+  /// Siblings on which some replay thread reads one (document, query) pair
+  /// in two operations of the round: the second read runs strictly after
+  /// the first answered, so a working answer cache must hit.
+  std::vector<bool> WarmSiblings(int round) const {
+    std::vector<bool> warm(static_cast<size_t>(shards_), false);
+    std::set<std::tuple<int, int32_t, int32_t>> read;  // (thread, doc, query)
+    for (size_t i : plan_[static_cast<size_t>(round)]) {
+      const Operation& op = schedule_.operations[i];
+      std::set<std::pair<int32_t, int32_t>> pairs(op.requests.begin(),
+                                                  op.requests.end());
+      for (const auto& [doc, query] : pairs) {
+        if (!read.emplace(ThreadOf(i), doc, query).second) {
+          warm[static_cast<size_t>(ShardOfDoc(doc))] = true;
+        }
+      }
+    }
+    return warm;
+  }
+
+  /// Re-applies each (subscription, document) stream of the incarnation
+  /// from the empty set (see the header comment).
+  void CheckSubscriptions(int round) {
+    std::lock_guard<std::mutex> lock(events_mu_);
+    auto violation = [&](const std::string& what) {
+      Fail(&SoakReport::subscription_violations,
+           "subscription violation: " + Where(round) + " " + what);
     };
-    for (const auto& [sub_id, query] : subs_) {
+    for (const auto& [key, events] : events_) {
+      if (sub_ids_.count(key.first) == 0 ||
+          std::find(schedule_.doc_keys.begin(), schedule_.doc_keys.end(),
+                    key.second) == schedule_.doc_keys.end()) {
+        violation("event for a foreign subscription id " +
+                  std::to_string(key.first) + " or doc " + key.second);
+      }
+    }
+    for (const auto& [sub_id, query] : sub_ids_) {
       for (size_t d = 0; d < schedule_.doc_keys.size(); ++d) {
         const int32_t doc = static_cast<int32_t>(d);
-        const int32_t hi = max_rev_[d];
+        const int32_t lo = incarnation_start_[d];
+        const int32_t hi = watermark_[d];
+        const std::string what = "sub=" + std::to_string(sub_id) + " doc=" +
+                                 Key(doc) + " query='" + Query(query) + "'";
         eval::NodeSet applied;
-        auto it = events_.find({sub_id, schedule_.doc_keys[d]});
-        if (it != events_.end()) {
-          for (size_t e = 0; e < it->second.size(); ++e) {
-            if (!ApplyDiff(&applied, it->second[e])) {
-              violation(sub_id, doc, query, e,
-                        "diff removes absent / re-adds present nodes",
-                        AnswerDigest(eval::Value::Nodes(eval::NodeSet(applied))));
-              break;
-            }
-            const std::string digest =
-                AnswerDigest(eval::Value::Nodes(eval::NodeSet(applied)));
-            if (!oracle_.MatchesAnyRevision(doc, 0, hi, query, digest)) {
-              violation(sub_id, doc, query, e,
-                        "state matches no revision's oracle answer", digest);
-            }
+        auto it = events_.find({sub_id, Key(doc)});
+        const size_t count = it == events_.end() ? 0 : it->second.size();
+        bool valid = true;
+        for (size_t e = 0; e < count && valid; ++e) {
+          valid = ApplyDiff(&applied, it->second[e]);
+          const std::string digest =
+              AnswerDigest(eval::Value::Nodes(eval::NodeSet(applied)));
+          if (!valid) {
+            violation(what + " event=" + std::to_string(e) +
+                      " diff removes absent / re-adds present nodes state=" +
+                      digest);
+          } else if (!oracle_.MatchesAnyRevision(doc, lo, hi, query, digest)) {
+            violation(what + " event=" + std::to_string(e) +
+                      " state matches no revision's oracle answer state=" +
+                      digest);
           }
         }
         const std::string final_digest =
             AnswerDigest(eval::Value::Nodes(std::move(applied)));
-        if (final_digest != oracle_.Expected(doc, hi, query)) {
-          violation(sub_id, doc, query,
-                    it == events_.end() ? 0 : it->second.size(),
-                    "final state != highest revision (want " +
-                        oracle_.Expected(doc, hi, query) + ")",
+        if (valid && final_digest != oracle_.Expected(doc, hi, query)) {
+          violation(what + " event=" + std::to_string(count) +
+                    " final state != watermark revision (want " +
+                    oracle_.Expected(doc, hi, query) + ") state=" +
                     final_digest);
         }
       }
     }
   }
 
-  void CheckStats(SoakReport* report) {
-    const service::ServiceStats& stats = report->stats;
-    int64_t batch_ops = 0;
-    for (const Operation& op : schedule_.operations) {
-      if (op.kind == Operation::Kind::kBatch) ++batch_ops;
+  /// Lost-update check: churn per document is single-threaded, so the final
+  /// store state must be exactly the highest revision, byte for byte.
+  void CheckFinalDocuments() {
+    for (size_t d = 0; d < schedule_.revisions.size(); ++d) {
+      const int32_t doc = static_cast<int32_t>(d);
+      auto stored = router_->shard(ShardOfDoc(doc)).documents().Get(Key(doc));
+      if (stored != nullptr &&
+          xml::SerializeDocument(stored->doc()) ==
+              xml::SerializeDocument(schedule_.revisions[d].back())) {
+        continue;
+      }
+      Fail(&SoakReport::lost_updates,
+           "lost update: seed=" + std::to_string(schedule_.seed) + " doc=" +
+               Key(doc) + " final store state is not revision " +
+               std::to_string(schedule_.revisions[d].size() - 1));
     }
-    auto require = [this, report](bool condition, const std::string& what) {
-      if (condition) return;
-      ++report->stats_violations;
-      RecordFailure("stats inconsistency: seed=" +
-                    std::to_string(schedule_.seed) + " " + what);
+  }
+
+  void CheckStats(int round) {
+    const ServiceStats agg = router_->Stats();
+    const std::vector<ServiceStats> per_shard = router_->ShardStats();
+    auto require = [&](bool condition, const std::string& what) {
+      if (!condition) {
+        Fail(&SoakReport::stats_violations,
+             "stats inconsistency: " + Where(round) + " " + what);
+      }
     };
-    require(report->requests == schedule_.total_requests,
-            "executed requests != schedule total");
-    require(stats.requests == report->requests,
-            "service request counter != executed requests");
-    require(stats.batches == batch_ops, "batch counter != batch operations");
-    require(stats.failures == report->errors,
-            "failure counter != observed errors");
+    // Router-level identities, restated where routing changes them.
+    require(agg.requests == requests_.load(),
+            "router requests != executed requests");
+    require(agg.failures == request_errors_.load(),
+            "router failures != observed errors");
+    require(agg.batches == std::accumulate(expected_batches_.begin(),
+                                           expected_batches_.end(), int64_t{0}),
+            "router batches != per-shard sub-batches routed");
+    require(agg.plan_cache.evictions == evictions_.load(),
+            "evictions summed over shards != evictions observed via on_evict");
+    require(agg.subscriptions.fired == deliveries_.load(),
+            "subscription fired counter != deliveries observed");
+    require(agg.subscriptions.active ==
+                static_cast<int64_t>(sub_ids_.size()) * shards_,
+            "active subscriptions != standing queries x shards (a doc* "
+            "selector subscribes on every shard)");
+    CheckServiceIdentities(agg, "router", require);
+    for (int s = 0; s < shards_; ++s) {
+      const ServiceStats& stats = per_shard[static_cast<size_t>(s)];
+      const QueryService& shard = router_->shard(s);
+      const std::string label = "shard " + std::to_string(s);
+      require(stats.requests == expected_requests_[static_cast<size_t>(s)],
+              label + " requests != requests routed to it");
+      require(stats.batches == expected_batches_[static_cast<size_t>(s)],
+              label + " batches != sub-batches routed to it");
+      require(stats.subscriptions.active ==
+                  static_cast<int64_t>(sub_ids_.size()),
+              label + " active subscriptions != standing queries");
+      require(stats.plan_cache_entries <= shard.plan_cache().capacity_bound(),
+              label + " plan cache exceeded its capacity bound");
+      require(stats.answer_cache.entries <=
+                  static_cast<int64_t>(shard.answer_cache().capacity_bound()),
+              label + " answer cache exceeded its capacity bound");
+      CheckServiceIdentities(stats, label, require);
+    }
+  }
+
+  /// Identities every ServiceStats snapshot satisfies on its own, the
+  /// router's aggregate (merged bucket-exact) included.
+  template <typename Require>
+  void CheckServiceIdentities(const ServiceStats& stats,
+                              const std::string& label,
+                              const Require& require) const {
+    const int64_t served = stats.requests - stats.failures;
     require(stats.plan_cache.parse_failures == 0,
-            "parse failures on a parse-checked pool");
+            label + " parse failures on a parse-checked pool");
     require(stats.plan_cache.Lookups() == stats.requests,
-            "hits+canonical_hits+misses+parse_failures != requests");
-    require(SumCounts(stats.evaluator_counts) == stats.requests - stats.failures,
-            "evaluator counts don't sum to successful requests");
-    require(stats.latency.count == stats.requests - stats.failures,
-            "latency histogram count != successful requests");
+            label + " hits+canonical_hits+misses+parse_failures != requests");
+    require(SumCounts(stats.evaluator_counts) == served,
+            label + " evaluator counts don't sum to successful requests");
+    require(stats.latency.count == served,
+            label + " latency histogram count != successful requests");
     if (stats.tracing) {
-      // The per-route latency histograms mirror the segment dispatch
-      // counters one-for-one: same labels, same counts (traced runs emit a
-      // timing for every plan segment, including frontier-skipped ones).
-      int64_t route_hist_total = 0;
-      for (const auto& [label, summary] : stats.route_latency) {
-        auto it = stats.segment_route_counts.find(label);
-        require(it != stats.segment_route_counts.end(),
-                "route histogram '" + label + "' has no segment counter");
-        if (it != stats.segment_route_counts.end()) {
-          require(summary.count == it->second,
-                  "route histogram '" + label + "' count " +
-                      std::to_string(summary.count) + " != segment counter " +
-                      std::to_string(it->second));
-        }
-        route_hist_total += summary.count;
+      // Route histograms mirror the segment dispatch counters one for one
+      // (traced runs time every plan segment, frontier-skipped ones too).
+      for (const auto& [route, summary] : stats.route_latency) {
+        auto it = stats.segment_route_counts.find(route);
+        require(it != stats.segment_route_counts.end() &&
+                    summary.count == it->second,
+                label + " route histogram '" + route +
+                    "' count != segment counter");
       }
       for (const auto& entry : stats.segment_route_counts) {
         require(stats.route_latency.count(entry.first) == 1,
-                "segment route '" + entry.first +
+                label + " segment route '" + entry.first +
                     "' missing a latency histogram");
       }
-      require(route_hist_total == SumCounts(stats.segment_route_counts),
-              "sum of route histogram counts != sum of segment counters");
     }
-    // Segment-executor accounting: every segment a run dispatched landed
-    // in exactly one of the parallel/sequential/skipped buckets — also
-    // when segments executed concurrently (exec.workers > 1; the parallel
-    // soak rounds run this way under TSan) — and every evaluated request
-    // but the index fast path went through the executor.
+    // Every segment a run dispatched landed in exactly one exec bucket, and
+    // every evaluated request but the index fast path went through the
+    // executor.
     require(stats.exec_parallel_segments + stats.exec_sequential_segments +
                     stats.exec_skipped_segments ==
                 stats.staged_segments,
-            "exec parallel+sequential+skipped buckets != staged segments");
+            label + " exec parallel+sequential+skipped != staged segments");
     const auto indexed = stats.segment_route_counts.find("pf-indexed");
     require(stats.staged_segments +
                     (indexed == stats.segment_route_counts.end()
                          ? 0
                          : indexed->second) ==
                 SumCounts(stats.segment_route_counts),
-            "staged segments + pf-indexed != total segment dispatches");
-    if (exec_workers_ <= 1) {
+            label + " staged segments + pf-indexed != total dispatches");
+    if (options_.service.exec.workers <= 1) {
       require(stats.exec_parallel_segments == 0,
-              "parallel segments recorded with exec.workers <= 1");
+              label + " parallel segments recorded with exec.workers <= 1");
     }
-    require(stats.plan_cache.evictions == observed_evictions_.load(),
-            "eviction counter != evictions observed via on_evict");
-    require(stats.plan_cache_entries <= service_->plan_cache().capacity_bound(),
-            "plan cache exceeded its capacity bound");
-    if (answer_cache_enabled_ && report->errors == 0) {
-      require(stats.answer_cache.hits + stats.answer_cache.misses ==
-                  stats.requests - stats.failures,
-              "answer cache lookups != successful requests");
+    if (stats.answer_cache_enabled && stats.failures == 0) {
+      require(stats.answer_cache.Lookups() == served,
+              label + " answer cache lookups != successful requests");
       require(stats.answer_cache.inserts + stats.answer_cache.declined ==
                   stats.answer_cache.misses,
-              "answer cache misses don't reconcile to inserts + declines");
-      require(stats.answer_cache.entries <=
-                  static_cast<int64_t>(service_->answer_cache().capacity_bound()),
-              "answer cache exceeded its capacity bound");
+              label + " answer cache misses != inserts + declines");
       require(stats.answer_cache.bytes >= 0,
-              "answer cache byte gauge went negative");
+              label + " answer cache byte gauge went negative");
     }
-    require(stats.subscriptions.fired == observed_deliveries_.load(),
-            "subscription fired counter != deliveries observed");
-    require(stats.subscriptions.active == static_cast<int64_t>(subs_.size()),
-            "active subscription gauge != registered standing queries");
-  }
-
-  void RecordFailure(std::string message) {
-    std::lock_guard<std::mutex> lock(failures_mu_);
-    if (failures_.size() < max_reported_) failures_.push_back(std::move(message));
   }
 
   const Schedule& schedule_;
+  const SoakOptions& options_;
   const int threads_;
-  const size_t max_reported_;
-  const bool answer_cache_enabled_;
-  const int exec_workers_;
+  const int shards_;
+  const bool durable_;
+  const service::ShardMap map_;
   std::vector<int32_t> standing_;  // pool indexes (before oracle_: init order)
   Oracle oracle_;
-  std::unique_ptr<QueryService> service_;
-  std::vector<std::pair<int64_t, int32_t>> subs_;  // (subscription id, query)
-  std::vector<int32_t> max_rev_;
+  std::vector<int> doc_shard_;
+  std::vector<std::vector<size_t>> plan_;  // operation indexes per round
+  std::vector<int32_t> probe_;             // pool index per document, -1 none
+  ShardedQueryService::Options router_options_;
+  std::unique_ptr<ShardedQueryService> router_;
+
+  // Revisions per document: at the last join (watermark_), at the end of
+  // the running round (round_hi_), at the incarnation's start.
+  std::vector<int32_t> watermark_;
+  std::vector<int32_t> round_hi_;
+  std::vector<int32_t> incarnation_start_;
+  int64_t shard0_churn_ = 0;  // churn operations of the isolation round
+  std::atomic<bool> isolating_{false};  // the isolation round is replaying
+  std::atomic<int64_t> sibling_events_{0};
+
+  // Per incarnation (zeroed by Open).
   std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> divergences_{0};
-  std::atomic<int64_t> errors_{0};
+  std::atomic<int64_t> request_errors_{0};
+  std::atomic<int64_t> evictions_{0};
+  std::atomic<int64_t> deliveries_{0};
+  std::vector<int64_t> expected_requests_;  // per shard
+  std::vector<int64_t> expected_batches_;   // per shard
+  std::map<int64_t, int32_t> sub_ids_;      // subscription id -> query
+
+  // Whole run.
+  std::atomic<int64_t> replay_requests_{0};
+  std::atomic<int64_t> mutations_{0};
   std::atomic<int64_t> patches_{0};
-  std::atomic<int64_t> patch_divergences_{0};
-  std::atomic<int64_t> observed_evictions_{0};
-  std::atomic<int64_t> observed_deliveries_{0};
+  std::atomic<int64_t> checkpoints_{0};
+
   std::mutex events_mu_;
-  std::map<std::pair<int64_t, std::string>, std::vector<mview::SubscriptionEvent>>
+  std::map<std::pair<int64_t, std::string>,
+           std::vector<mview::SubscriptionEvent>>
       events_;
   std::mutex failures_mu_;
-  std::vector<std::string> failures_;
+  SoakReport report_;
 };
 
 }  // namespace
 
 std::string SoakReport::Summary() const {
   std::ostringstream out;
-  out << "soak seed=" << seed << ": " << operations << " ops (" << requests
-      << " requests) on " << threads << " threads, oracle="
-      << oracle_evaluations << " evals — "
-      << (ok() ? "PASS" : "FAIL") << " (divergences=" << divergences
-      << " errors=" << errors << " lost_updates=" << lost_updates
-      << " patches=" << patches
-      << " patch_divergences=" << patch_divergences
+  out << "soak seed=" << seed << " shards=" << shards
+      << (durable ? " durable" : "") << (wire ? " wire" : "") << ": "
+      << operations << " ops (" << requests << " requests, " << mutations
+      << " mutations, " << patches << " patches) in " << rounds
+      << " rounds on " << threads << " threads, oracle=" << oracle_evaluations
+      << " evals — " << (ok() ? "PASS" : "FAIL") << " (divergences="
+      << divergences << " errors=" << errors << " lost_updates="
+      << lost_updates << " patch_divergences=" << patch_divergences
+      << " recovery_divergences=" << recovery_divergences
+      << " isolation_violations=" << isolation_violations
       << " stats_violations=" << stats_violations
       << " subscription_violations=" << subscription_violations
       << "); plan cache hit rate " << stats.plan_cache.HitRate()
@@ -482,13 +902,24 @@ std::string SoakReport::Summary() const {
       << stats.answer_cache.retained << " retained), " << subscriptions
       << " standing queries (" << subscription_events << " diffs, "
       << stats.subscriptions.coalesced << " coalesced)";
+  if (durable) {
+    out << "; " << crashes << " crashes, " << clean_closes
+        << " clean closes, " << checkpoints << " checkpoints, recoveries="
+        << recoveries << " snapshots_loaded=" << snapshots_loaded
+        << " records_replayed=" << records_replayed
+        << " records_skipped=" << records_skipped;
+  }
+  if (shard_crash_ran) {
+    out << "; one-shard crash (shard 0 replayed " << records_replayed_shard0
+        << ")";
+  }
   for (const std::string& failure : failures) out << "\n  " << failure;
   return out.str();
 }
 
 SoakReport RunSoak(const Schedule& schedule, const SoakOptions& options) {
-  Replay replay(schedule, options);
-  return replay.Run();
+  Soak soak(schedule, options);
+  return soak.Run();
 }
 
 }  // namespace gkx::testkit

@@ -36,12 +36,12 @@
 // mismatch), truncate that torn tail, and count it in wal.torn_tail. The
 // recovery invariant — snapshot + replayed suffix reproduces an
 // ExhaustiveEquals-identical corpus containing exactly the acked
-// mutations — is what testkit::RunRecoverySoak and wal_recovery_test
-// re-prove under kill/checkpoint/reopen rounds. Recovery always ends by
-// writing a fresh checkpoint of the recovered state and resetting the
-// journal to empty, so a recovered directory is indistinguishable from a
-// freshly checkpointed one (and repeated crashes cannot grow the journal
-// without bound).
+// mutations — is what testkit::RunSoak (given a WAL directory) and
+// wal_recovery_test re-prove under kill/checkpoint/reopen rounds. Recovery
+// always ends by writing a fresh checkpoint of the recovered state and
+// resetting the journal to empty, so a recovered directory is
+// indistinguishable from a freshly checkpointed one (and repeated crashes
+// cannot grow the journal without bound).
 
 #ifndef GKX_WAL_WAL_HPP_
 #define GKX_WAL_WAL_HPP_

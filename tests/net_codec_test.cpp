@@ -10,7 +10,8 @@
 //     a size header that lies costs only the bytes that actually arrive.
 //   * Dispatch: the server's request→response mapping, without sockets.
 //   * Loopback: a real server + client over 127.0.0.1 — register, query,
-//     batch (answers byte-identical to in-process), update, stats, remove.
+//     batch (answers byte-identical to in-process), update, stats, remove;
+//     and sequential connection churn leaves VmSize and the fd count flat.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -309,15 +311,21 @@ TEST(NetCodecTest, StreamIoRejectsCorruptionAndHonorsCleanEof) {
   ::close(fds2[0]);
 }
 
-/// Peak resident set (VmHWM) of this process in KiB, or -1 if unreadable.
-int64_t PeakRssKib() {
+/// A "<field>:  <n> kB" line of /proc/self/status in KiB, or -1 if
+/// unreadable.
+int64_t ProcStatusKib(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoll(line.substr(field.size() + 1));
+    }
   }
   return -1;
 }
+
+/// Peak resident set (VmHWM) of this process in KiB, or -1 if unreadable.
+int64_t PeakRssKib() { return ProcStatusKib("VmHWM"); }
 
 TEST(NetCodecTest, LyingSizeHeaderCostsOnlyWhatArrives) {
   // A header that claims hundreds of MiB (under the cap), a few body bytes,
@@ -480,6 +488,63 @@ TEST(NetCodecTest, LoopbackServesQueriesByteIdenticalToInProcess) {
   second.Close();
 
   client.Close();
+  server.Stop();
+}
+
+/// Open descriptors of this process (entries of /proc/self/fd).
+int OpenFdCount() {
+  int count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+/// Waits (up to ~2 s) for the open descriptor count to drop to `target`:
+/// the server closes its end of a connection when it reads the peer's EOF,
+/// asynchronously to the client's close. Returns the last count seen.
+int AwaitFdCount(int target) {
+  int fds = OpenFdCount();
+  for (int wait = 0; wait < 2000 && fds > target; ++wait) {
+    ::usleep(1000);
+    fds = OpenFdCount();
+  }
+  return fds;
+}
+
+// Connection churn: strictly sequential connect -> Ping -> close cycles,
+// at most one client alive and each cycle's server side finished before
+// the next connect. A finished connection's thread must be joined and its
+// record dropped while the server keeps running — an exited but unjoined
+// thread keeps its stack mapped (~8 MiB of VmSize per cycle), and a leaked
+// descriptor shows in /proc/self/fd.
+TEST(NetCodecTest, SequentialConnectionChurnKeepsVmSizeAndFdsFlat) {
+  service::ShardedQueryService service;
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_idle = OpenFdCount();
+  auto cycle = [&](int i) {
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok()) << i;
+    ASSERT_TRUE(client.Ping().ok()) << i;
+    client.Close();
+    ASSERT_LE(AwaitFdCount(fds_idle), fds_idle)
+        << "descriptor leak, cycle " << i;
+  };
+  // Warm-up cycles put lazily created process state (allocator arenas,
+  // cached thread stacks) into the baseline.
+  for (int i = 0; i < 8; ++i) cycle(i);
+  const int64_t vm_before = ProcStatusKib("VmSize");
+  if (vm_before < 0) GTEST_SKIP() << "no /proc/self/status VmSize";
+
+  constexpr int kCycles = 500;
+  for (int i = 0; i < kCycles; ++i) cycle(i);
+  const int64_t vm_growth_kib = ProcStatusKib("VmSize") - vm_before;
+  EXPECT_LT(vm_growth_kib, 64 << 10)
+      << "VmSize grew " << vm_growth_kib << " KiB over " << kCycles
+      << " connections: finished connection threads are not reaped";
+  EXPECT_LE(AwaitFdCount(fds_idle), fds_idle);
   server.Stop();
 }
 

@@ -1,8 +1,11 @@
-// gkx::testkit — the deterministic concurrent workload harness.
+// gkx::testkit — the deterministic concurrent workload harness at the
+// single-service topology (testkit::RunSoak with the default options: one
+// shard, in-memory, in-process; shard_soak_test and wal_recovery_test drive
+// the same driver at the other topologies).
 //   * Schedules are byte-stable: same (spec, seed) => identical corpus,
 //     query pool, and operation list; different seeds differ.
 //   * The flagship soak: >= 10k operations replayed over >= 4 threads
-//     against a live QueryService with zipfian traffic, batches, and live
+//     against a live service with zipfian traffic, batches, and live
 //     AddDocument churn — zero divergences from the naive single-threaded
 //     oracle, zero lost updates, and fully reconciled service counters.
 //   * Fault injection: a perturbed answer (via QueryService's answer_tap

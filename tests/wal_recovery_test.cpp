@@ -1,10 +1,10 @@
 // Crash-recovery tests for the WAL: the kill/checkpoint/reopen soak
-// (testkit::RunRecoverySoak — every acknowledged mutation must survive any
-// kill, ExhaustiveEquals-identical), fault-injection teeth (torn tails and
-// bit flips are detected, truncated, and reported — never applied; corrupt
-// manifests/snapshots fail recovery loudly and the service degrades to
-// in-memory serving), and deterministic replay-idempotence (a record
-// covered by both a snapshot and the journal suffix is skipped, not
+// (testkit::RunSoak with a WAL directory — every acknowledged mutation must
+// survive any kill, ExhaustiveEquals-identical), fault-injection teeth (torn
+// tails and bit flips are detected, truncated, and reported — never
+// applied; corrupt manifests/snapshots fail recovery loudly and the service
+// degrades to in-memory serving), and deterministic replay-idempotence (a
+// record covered by both a snapshot and the journal suffix is skipped, not
 // re-applied).
 
 #include <cstdint>
@@ -18,8 +18,8 @@
 #include "service/document_store.hpp"
 #include "service/query_service.hpp"
 #include "testkit/oracle.hpp"
-#include "testkit/recovery_soak.hpp"
 #include "testkit/reference_edit.hpp"
+#include "testkit/soak_driver.hpp"
 #include "testkit/workload.hpp"
 #include "wal/record.hpp"
 #include "wal/wal.hpp"
@@ -104,13 +104,13 @@ TEST(WalRecoverySoakTest, KillCheckpointReopenRoundsLoseNothing) {
   auto schedule = testkit::CompileWorkload(spec);
   ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
 
-  testkit::RecoverySoakOptions options;
+  testkit::SoakOptions options;
   options.rounds = 5;
   options.threads = 4;
   options.wal_dir = TempDirFor("soak");
   options.service.wal.group_commit_window_us = 100;
   options.service.wal.checkpoint_every_bytes = 96 << 10;
-  auto report = testkit::RunRecoverySoak(*schedule, options);
+  auto report = testkit::RunSoak(*schedule, options);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.mutations, 0);
   EXPECT_EQ(report.recoveries, 5);
